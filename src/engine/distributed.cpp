@@ -282,23 +282,38 @@ void DistributedRanking::build_groups(std::span<const std::uint32_t> assignment)
     }
   }
 
-  // --- Wire efferent (cut) edges -------------------------------------------
-  for (graph::PageId u = 0; u < graph_.num_pages(); ++u) {
-    const std::uint32_t gu = assignment[u];
-    const auto d = graph_.out_degree(u);
-    if (d == 0) continue;
-    const double weight = opts_.alpha / static_cast<double>(d);
-    for (const graph::PageId v : graph_.out_links(u)) {
-      const std::uint32_t gv = assignment[v];
-      if (gv == gu) continue;
-      groups_[gu]->add_efferent_edge(gv, local_index[v], local_index[u], weight);
+  // --- Wire cut edges into the link table -----------------------------------
+  links_ = LinkTable::build(k, [&](auto&& emit) {
+    for (graph::PageId u = 0; u < graph_.num_pages(); ++u) {
+      const std::uint32_t gu = assignment[u];
+      for (const graph::PageId v : graph_.out_links(u)) {
+        const std::uint32_t gv = assignment[v];
+        if (gv != gu) emit(gu, gv, local_index[u], local_index[v]);
+      }
     }
-  }
-  for (auto& grp : groups_) grp->finalize_efferents();
+  });
+  for (std::uint32_t grp = 0; grp < k; ++grp) groups_[grp]->attach_links(links_, grp);
+  pending_.assign(opts_.reliability.retransmit ? links_.num_links() : 0, kNone);
+  pending_count_ = 0;
+  hops_.assign(opts_.overlay != nullptr ? links_.num_links() : 0, kNone);
 
   // Every membership change funnels through here (construction, churn);
   // the bump tells snapshot sinks their cached page → shard maps are stale.
   ++ownership_version_;
+}
+
+void DistributedRanking::prime_x() {
+  YSlice y;
+  for (std::uint32_t src = 0; src < groups_.size(); ++src) {
+    for (std::uint32_t link = links_.out_begin(src); link < links_.out_end(src); ++link) {
+      const std::uint32_t dest = links_.dst(link);
+      if (dest == opts_.fault_skip_refresh_group) continue;
+      groups_[src]->compute_y(link, 0.0, y);
+      const bool applied = groups_[dest]->refresh_x(link, y.values);
+      assert(applied);
+      static_cast<void>(applied);
+    }
+  }
 }
 
 void DistributedRanking::warm_start(std::span<const double> global_ranks) {
@@ -322,12 +337,7 @@ void DistributedRanking::warm_start(std::span<const double> global_ranks) {
   // whole afferent-update path is dead, so churn and restore state
   // transfers must not silently heal it (the --broken self-test depends on
   // the fault surviving every recovery mechanism).
-  for (std::uint32_t src = 0; src < groups_.size(); ++src) {
-    for (const std::uint32_t dest : groups_[src]->efferent_destinations()) {
-      if (dest == opts_.fault_skip_refresh_group) continue;
-      groups_[dest]->refresh_x(src, groups_[src]->compute_y(dest));
-    }
-  }
+  prime_x();
   // A warm start changes the served state wholesale (initial seeding, churn
   // handoff, restore) — republish instead of waiting out the cadence.
   publish_snapshot();
@@ -389,12 +399,7 @@ void DistributedRanking::warm_start_incremental(
   }
   // X re-prime: identical to warm_start (state transfer, not channel sends;
   // the deliberately broken ranker stays broken).
-  for (std::uint32_t src = 0; src < groups_.size(); ++src) {
-    for (const std::uint32_t dest : groups_[src]->efferent_destinations()) {
-      if (dest == opts_.fault_skip_refresh_group) continue;
-      groups_[dest]->refresh_x(src, groups_[src]->compute_y(dest));
-    }
-  }
+  prime_x();
   // Conservative frontier repair: every received X row recomputes next
   // sweep, covering entries the delta-based marks cannot see (bitwise-0.0
   // slice values superseding a nonzero pre-swap X).
@@ -428,13 +433,10 @@ void DistributedRanking::crash_group(std::uint32_t group) {
     // per-pair epochs are transport-session state and survive (peers keep
     // rejecting stale slices and keep retransmitting *to* it).
     reliable_->reset_sender(group);
-    // p2plint: allow(no-unordered-iteration): predicate erase; no
-    // accumulation, surviving entries are untouched.
-    for (auto it = pending_payload_.begin(); it != pending_payload_.end();) {
-      if (static_cast<std::uint32_t>(it->first >> 32) == group) {
-        it = pending_payload_.erase(it);
-      } else {
-        ++it;
+    if (!pending_.empty()) {
+      for (std::uint32_t link = links_.out_begin(group); link < links_.out_end(group);
+           ++link) {
+        clear_pending(link);
       }
     }
   }
@@ -463,7 +465,7 @@ void DistributedRanking::drop_in_flight() {
   // wave clears them anyway). Accepted-epoch high-water marks survive: the
   // channel session outlives a rollback just like it outlives a crash.
   ++generation_;
-  pending_payload_.clear();
+  drop_pending();
   if (reliable_) reliable_->reset_pending();
   // A restore is a global rollback for the serving layer too: every epoch
   // published from the rolled-back timeline is stale. The sink keeps
@@ -483,6 +485,10 @@ void DistributedRanking::apply_churn(std::span<const std::uint32_t> assignment) 
   std::ostringstream text;
   save_ranks(graph_, global_ranks(), text);
 
+  // Queued and buffered slices address the old wiring's links: drop them
+  // before the link table is rebuilt.
+  drop_pending();
+  for (auto& box : inbox_) box.clear();
   for (const auto& grp : groups_) retired_outer_steps_ += grp->outer_steps();
   build_groups(assignment);
 
@@ -491,13 +497,12 @@ void DistributedRanking::apply_churn(std::span<const std::uint32_t> assignment) 
   warm_start(loaded.ranks);
 
   // In-flight slices and retransmit timers reference the *old* wiring's
-  // local indices: invalidate them wholesale via the generation stamp and
-  // drop the buffered payloads. Epoch counters survive (transport-session
-  // state), so "accepted epoch non-decreasing" holds across churn.
+  // links: invalidate them wholesale via the generation stamp (their
+  // buffers and the inboxes were dropped above). Epoch counters survive
+  // (transport-session state), so "accepted epoch non-decreasing" holds
+  // across churn.
   ++generation_;
-  pending_payload_.clear();
   if (reliable_) reliable_->reset_pending();
-  for (auto& box : inbox_) box.clear();
 
   // Every ranker re-reports stability against the new ownership.
   std::fill(stable_flag_.begin(), stable_flag_.end(), 0);
@@ -573,18 +578,18 @@ void DistributedRanking::set_latency_jitter(double jitter) {
   latency_jitter_ = jitter;
 }
 
-double DistributedRanking::delivery_delay(std::uint32_t src, std::uint32_t dst) {
+double DistributedRanking::delivery_delay(std::uint32_t src, std::uint32_t dst,
+                                          std::uint32_t link) {
   double delay = opts_.delivery_latency;
   if (opts_.overlay != nullptr) {
     // Indirect transmission: one overlay hop per per_hop_latency. Routes are
-    // static in the stabilized overlay, so hop counts are cached.
-    const std::uint64_t key = pair_key(src, dst);
-    auto it = hop_cache_.find(key);
-    if (it == hop_cache_.end()) {
-      const auto path = opts_.overlay->route(src, opts_.overlay->id_of(dst));
-      it = hop_cache_.emplace(key, static_cast<std::uint32_t>(path.size())).first;
+    // static in the stabilized overlay, so hop counts are cached per link.
+    std::uint32_t& hops = hops_[link];
+    if (hops == kNone) {
+      hops = static_cast<std::uint32_t>(
+          opts_.overlay->route(src, opts_.overlay->id_of(dst)).size());
     }
-    delay = opts_.per_hop_latency * static_cast<double>(it->second);
+    delay = opts_.per_hop_latency * static_cast<double>(hops);
   }
   // One jitter draw per delivered message, and only when jitter is on — the
   // jitter-off RNG streams are bit-identical to the pre-jitter engine.
@@ -598,16 +603,87 @@ void DistributedRanking::schedule_step(std::uint32_t group) {
   queue_.schedule_in(wait, [this, group] { run_step(group); });
 }
 
-void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t dst,
-                                    YSlice slice) {
+void DistributedRanking::Inbox::push(std::uint32_t link, const YSlice& slice) {
+  if (slice.sparse) {
+    messages.push_back({link, true, entries.size(), slice.entries.size()});
+    entries.insert(entries.end(), slice.entries.begin(), slice.entries.end());
+  } else {
+    messages.push_back({link, false, values.size(), slice.values.size()});
+    values.insert(values.end(), slice.values.begin(), slice.values.end());
+  }
+}
+
+void DistributedRanking::Inbox::clear() noexcept {
+  messages.clear();
+  values.clear();
+  entries.clear();
+}
+
+std::uint32_t DistributedRanking::hold(const YSlice& slice) {
+  std::uint32_t index = free_slice_;
+  if (index != kNone) {
+    free_slice_ = slices_[index].next_free;
+  } else {
+    index = static_cast<std::uint32_t>(slices_.size());
+    slices_.emplace_back();
+  }
+  SliceBuf& buf = slices_[index];
+  buf.refs = 1;
+  buf.slice.sparse = slice.sparse;
+  buf.slice.record_count = slice.record_count;
+  buf.slice.values.assign(slice.values.begin(), slice.values.end());
+  buf.slice.entries.assign(slice.entries.begin(), slice.entries.end());
+  return index;
+}
+
+void DistributedRanking::release_slice(std::uint32_t slice) {
+  SliceBuf& buf = slices_[slice];
+  assert(buf.refs > 0);
+  if (--buf.refs != 0) return;
+  buf.next_free = free_slice_;
+  free_slice_ = slice;
+}
+
+void DistributedRanking::set_pending(std::uint32_t link, std::uint32_t slice) {
+  clear_pending(link);
+  pending_[link] = slice;
+  ++pending_count_;
+}
+
+void DistributedRanking::clear_pending(std::uint32_t link) {
+  if (pending_[link] == kNone) return;
+  release_slice(pending_[link]);
+  pending_[link] = kNone;
+  --pending_count_;
+}
+
+void DistributedRanking::drop_pending() {
+  for (std::uint32_t link = 0; link < pending_.size(); ++link) clear_pending(link);
+}
+
+void DistributedRanking::inject_slice(std::uint32_t src, std::uint32_t dst,
+                                      const YSlice& slice) {
+  const std::uint32_t link = src < links_.num_groups() && dst < links_.num_groups()
+                                 ? links_.find(src, dst)
+                                 : LinkTable::kNoLink;
+  if (link == LinkTable::kNoLink) {
+    throw std::invalid_argument("DistributedRanking::inject_slice: no link src -> dst");
+  }
+  inbox_[dst].push(link, slice);
+}
+
+void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t link,
+                                    const YSlice& slice) {
+  const std::uint32_t dst = links_.dst(link);
+  const std::uint64_t records = slice.record_count;
   ++messages_sent_;
-  records_sent_ += slice.record_count;
-  records_per_group_[src] += slice.record_count;
+  records_sent_ += records;
+  records_per_group_[src] += records;
   if (obs_.messages_sent != nullptr) {
     ++*obs_.messages_sent;
-    *obs_.records_sent += slice.record_count;
-    *obs_.data_bytes += slice_wire_bytes(slice.record_count);
-    obs_.slice_records->add(slice.record_count);
+    *obs_.records_sent += records;
+    *obs_.data_bytes += slice_wire_bytes(records);
+    obs_.slice_records->add(records);
   }
 
   if (!reliable_) {
@@ -623,46 +699,43 @@ void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t dst,
       if (obs_.messages_lost != nullptr) ++*obs_.messages_lost;
       return;
     }
-    if (opts_.send_threshold > 0.0) groups_[src]->commit_sent(dst, slice);
-    const double delay = delivery_delay(src, dst);
+    if (opts_.send_threshold > 0.0) groups_[src]->commit_sent(link, slice);
+    const double delay = delivery_delay(src, dst, link);
     if (opts_.overlay != nullptr) {
-      const std::uint64_t hops = slice.record_count * hop_cache_[pair_key(src, dst)];
+      const std::uint64_t hops = records * hops_[link];
       record_hops_ += hops;
       if (obs_.record_hops != nullptr) *obs_.record_hops += hops;
     }
     if (opts_.tracer != nullptr) {
       opts_.tracer->complete(obs::names::kTraceMsgFlight, queue_.now(), delay, dst,
-                             {}, static_cast<double>(slice.record_count));
+                             {}, static_cast<double>(records));
     }
     if (delay <= 0.0) {
-      if (!frame_survives(src, dst, 0, slice)) return;
-      if (obs_.deliveries != nullptr) ++*obs_.deliveries;
-      inbox_[dst].emplace_back(src, std::move(slice));
+      arrive(src, dst, link, slice);
     } else {
-      // Move the slice into the event closure; it lands in the inbox when
-      // the event fires — unless churn rebuilt the wiring meanwhile (the
-      // slice's local indices would be stale, so it is dropped; with no
-      // retransmission that loss is repaired by the sender's next step).
-      auto shared = std::make_shared<YSlice>(std::move(slice));
+      // The slice lands in the inbox when the event fires — unless churn
+      // rebuilt the wiring meanwhile (its link is stale, so it is dropped;
+      // with no retransmission that loss is repaired by the sender's next
+      // step).
+      const std::uint32_t held = hold(slice);
       const std::uint64_t gen = generation_;
-      queue_.schedule_in(delay, [this, dst, src, shared, gen] {
-        if (gen != generation_) return;
-        if (!frame_survives(src, dst, 0, *shared)) return;
-        if (obs_.deliveries != nullptr) ++*obs_.deliveries;
-        inbox_[dst].emplace_back(src, std::move(*shared));
+      queue_.schedule_in(delay, [this, src, dst, link, held, gen] {
+        if (gen == generation_) arrive(src, dst, link, slices_[held].slice);
+        release_slice(held);
       });
     }
     return;
   }
 
   // Reliable exchange: stamp an epoch, buffer the payload if retransmission
-  // is on (a fresh send supersedes the pair's previous unacked slice — the
-  // buffer holds at most one slice per peer), then transmit. Sends to a
+  // is on (a fresh send supersedes the link's previous unacked slice — the
+  // buffer holds at most one slice per link), then transmit. Sends to a
   // suspected peer still go out: they double as probes.
   const transport::Epoch epoch = reliable_->begin_send(src, dst);
-  auto payload = std::make_shared<const YSlice>(std::move(slice));
+  std::uint32_t held = kNone;
   if (opts_.reliability.retransmit) {
-    pending_payload_[pair_key(src, dst)] = payload;
+    held = hold(slice);
+    set_pending(link, held);
   }
 
   const bool pass_loss = loss_.delivered();
@@ -672,40 +745,53 @@ void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t dst,
   if (!delivered) {
     ++messages_lost_;
     if (obs_.messages_lost != nullptr) ++*obs_.messages_lost;
-  }
-  if (delivered) {
+  } else {
     if (opts_.send_threshold > 0.0 && !opts_.reliability.retransmit) {
       // Without retransmission the loss draw above is the only delivery
       // knowledge; commit eagerly on it, exactly like fire-and-forget.
       // (With retransmission the commit happens on ack instead.)
-      groups_[src]->commit_sent(dst, *payload);
+      groups_[src]->commit_sent(link, slice);
     }
-    const double delay = delivery_delay(src, dst);
+    const double delay = delivery_delay(src, dst, link);
     if (opts_.overlay != nullptr) {
-      const std::uint64_t hops =
-          payload->record_count * hop_cache_[pair_key(src, dst)];
+      const std::uint64_t hops = records * hops_[link];
       record_hops_ += hops;
       if (obs_.record_hops != nullptr) *obs_.record_hops += hops;
     }
     if (opts_.tracer != nullptr) {
       opts_.tracer->complete(obs::names::kTraceMsgFlight, queue_.now(), delay, dst,
-                             {}, static_cast<double>(payload->record_count));
+                             {}, static_cast<double>(records));
     }
-    const std::uint64_t gen = generation_;
     if (delay <= 0.0) {
-      deliver(src, dst, epoch, *payload);
+      deliver(src, dst, link, epoch, slice);
     } else {
-      queue_.schedule_in(delay, [this, src, dst, epoch, payload, gen] {
-        if (gen != generation_) return;
-        deliver(src, dst, epoch, *payload);
+      // The retransmit buffer doubles as the in-flight payload.
+      if (held == kNone) {
+        held = hold(slice);
+      } else {
+        ++slices_[held].refs;
+      }
+      const std::uint64_t gen = generation_;
+      queue_.schedule_in(delay, [this, src, dst, link, epoch, held, gen] {
+        if (gen == generation_) deliver(src, dst, link, epoch, slices_[held].slice);
+        release_slice(held);
       });
     }
   }
-  if (opts_.reliability.retransmit) schedule_retransmit(src, dst, epoch);
+  if (opts_.reliability.retransmit) schedule_retransmit(src, dst, link, epoch);
+}
+
+void DistributedRanking::arrive(std::uint32_t src, std::uint32_t dst,
+                                std::uint32_t link, const YSlice& slice) {
+  const YSlice* const arrived = frame_survives(src, dst, 0, link, slice);
+  if (arrived == nullptr) return;
+  if (obs_.deliveries != nullptr) ++*obs_.deliveries;
+  inbox_[dst].push(link, *arrived);
 }
 
 void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
-                                 transport::Epoch epoch, YSlice slice) {
+                                 std::uint32_t link, transport::Epoch epoch,
+                                 const YSlice& slice) {
   // Transport-level processing at delivery time: runs even when dst's
   // application loop is paused (the protocol stack stays up; only the
   // ranker sleeps) and even when dst crashed meanwhile (a reboot does not
@@ -715,16 +801,18 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
   // cannot trust its addressing or epoch, so it is dropped before any
   // protocol processing (no liveness evidence, no epoch accept, no ack;
   // the sender's retransmit timer re-ships it).
-  if (!frame_survives(src, dst, epoch, slice)) return;
+  const YSlice* const arrived = frame_survives(src, dst, epoch, link, slice);
+  if (arrived == nullptr) return;
   // Receiving data from src is evidence src is alive: clear any suspicion
   // on the reverse pair and, if a retransmit was parked there, re-arm it.
   if (reliable_->peer_alive(dst, src)) {
-    schedule_retransmit(dst, src, reliable_->pending_epoch(dst, src));
+    schedule_retransmit(dst, src, links_.find(dst, src),
+                        reliable_->pending_epoch(dst, src));
   }
   const bool fresh = reliable_->accept(src, dst, epoch);
   if (fresh) {
     if (obs_.deliveries != nullptr) ++*obs_.deliveries;
-    inbox_[dst].emplace_back(src, std::move(slice));
+    inbox_[dst].push(link, *arrived);
   } else if (obs_.duplicates_rejected != nullptr) {
     ++*obs_.duplicates_rejected;
   }
@@ -743,19 +831,20 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
   if (!ack_pass_loss || !ack_pass_cut) return;
   const transport::Epoch value = reliable_->accepted_epoch(src, dst);
   const double delay = opts_.reliability.ack_latency;
-  auto apply_ack = [this, src, dst, value] {
+  const std::uint64_t gen = generation_;
+  auto apply_ack = [this, src, dst, link, value, gen] {
     ++acks_delivered_;
     if (obs_.acks_delivered != nullptr) ++*obs_.acks_delivered;
-    if (reliable_->on_ack(src, dst, value)) {
+    // An ack from before a churn rebuild cannot clear a newer epoch, and
+    // its link id belongs to the old wiring: only the transport sees it.
+    if (reliable_->on_ack(src, dst, value) && gen == generation_ && !pending_.empty() &&
+        pending_[link] != kNone) {
       // Cleared the pending epoch: the buffered payload is now known
       // delivered — commit it for delta-sending and drop it.
-      const auto it = pending_payload_.find(pair_key(src, dst));
-      if (it != pending_payload_.end()) {
-        if (opts_.send_threshold > 0.0) {
-          groups_[src]->commit_sent(dst, *it->second);
-        }
-        pending_payload_.erase(it);
+      if (opts_.send_threshold > 0.0) {
+        groups_[src]->commit_sent(link, slices_[pending_[link]].slice);
       }
+      clear_pending(link);
     }
   };
   if (delay <= 0.0) {
@@ -765,53 +854,72 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
   }
 }
 
-bool DistributedRanking::frame_survives(std::uint32_t src, std::uint32_t dst,
-                                        transport::Epoch epoch, YSlice& slice) {
-  if (!fault_plane_.corruption_enabled()) return true;
+const YSlice* DistributedRanking::frame_survives(std::uint32_t src, std::uint32_t dst,
+                                                 transport::Epoch epoch,
+                                                 std::uint32_t link,
+                                                 const YSlice& slice) {
+  if (!fault_plane_.corruption_enabled()) return &slice;
   // While corruption is live, every slice pays the encode → (maybe flip
   // bytes) → decode round-trip, so the defense is exercised on clean frames
   // too — a codec that mangled valid payloads would corrupt ranks and trip
-  // the finiteness/monotone invariants immediately.
+  // the finiteness/monotone invariants immediately. Frames address
+  // destination-local pages, as on the wire; the link maps them to slots.
+  frame_entries_.clear();
+  if (slice.sparse) {
+    for (const auto& [slot, value] : slice.entries) {
+      frame_entries_.emplace_back(links_.slot_page(link, slot), value);
+    }
+  } else {
+    for (std::size_t slot = 0; slot < slice.values.size(); ++slot) {
+      frame_entries_.emplace_back(links_.slot_page(link, slot), slice.values[slot]);
+    }
+  }
   const transport::FrameHeader header{src, dst, epoch, slice.record_count};
-  auto frame = transport::encode_frame(header, slice.entries);
+  auto frame = transport::encode_frame(header, frame_entries_);
   const bool corrupted = fault_plane_.maybe_corrupt(frame);
-  transport::DecodedFrame decoded;
-  const auto verdict = transport::decode_frame(frame, decoded);
+  const auto verdict = transport::decode_frame(frame, decoded_);
   if (verdict != transport::FrameVerdict::kOk) {
     ++frames_quarantined_;
     if (obs_.frames_quarantined != nullptr) ++*obs_.frames_quarantined;
-    return false;
+    return nullptr;
   }
-  if (corrupted || decoded.header.src != src || decoded.header.dst != dst ||
-      decoded.header.epoch != epoch) {
-    // A corrupted frame passed the 64-bit checksum — collision odds are
-    // negligible, so this tripwire staying 0 is an invariant the chaos
-    // checker enforces ("zero applied corrupt frames").
-    ++corrupt_frames_applied_;
+  // An uncorrupted frame decodes to exactly the slice it encodes.
+  if (!corrupted) return &slice;
+  // A corrupted frame passed the 64-bit checksum — collision odds are
+  // negligible, so this tripwire staying 0 is an invariant the chaos
+  // checker enforces ("zero applied corrupt frames"). What decoded is what
+  // gets delivered; pages outside the link get an out-of-range slot, which
+  // the refresh guard rejects.
+  ++corrupt_frames_applied_;
+  collided_.sparse = true;
+  collided_.record_count = decoded_.header.record_count;
+  collided_.entries.clear();
+  for (const auto& [page, value] : decoded_.entries) {
+    collided_.entries.emplace_back(links_.slot_of(link, page), value);
   }
-  slice.record_count = decoded.header.record_count;
-  slice.entries = std::move(decoded.entries);
-  return true;
+  return &collided_;
 }
 
 bool DistributedRanking::has_cut_edges(std::uint32_t src,
                                        std::uint32_t dst) const {
-  const auto dests = groups_.at(src)->efferent_destinations();
-  return std::find(dests.begin(), dests.end(), dst) != dests.end();
+  (void)groups_.at(src);
+  return dst < links_.num_groups() && links_.find(src, dst) != LinkTable::kNoLink;
 }
 
 void DistributedRanking::schedule_retransmit(std::uint32_t src, std::uint32_t dst,
+                                             std::uint32_t link,
                                              transport::Epoch epoch) {
   const double delay = reliable_->timer_delay(src, dst);
   const std::uint64_t gen = generation_;
-  queue_.schedule_in(delay, [this, src, dst, epoch, gen] {
+  queue_.schedule_in(delay, [this, src, dst, link, epoch, gen] {
     // Timers armed before a churn rebuild reference retired payloads.
     if (gen != generation_) return;
-    on_retransmit_timer(src, dst, epoch);
+    on_retransmit_timer(src, dst, link, epoch);
   });
 }
 
 void DistributedRanking::on_retransmit_timer(std::uint32_t src, std::uint32_t dst,
+                                             std::uint32_t link,
                                              transport::Epoch epoch) {
   switch (reliable_->on_timer(src, dst, epoch)) {
     case transport::ReliableExchange::TimerVerdict::kSuperseded:
@@ -832,9 +940,10 @@ void DistributedRanking::on_retransmit_timer(std::uint32_t src, std::uint32_t ds
     case transport::ReliableExchange::TimerVerdict::kRetransmit:
       break;
   }
-  const auto it = pending_payload_.find(pair_key(src, dst));
-  if (it == pending_payload_.end()) return;  // crash dropped the buffer
-  const std::shared_ptr<const YSlice> payload = it->second;
+  if (link == LinkTable::kNoLink || pending_.empty()) return;
+  const std::uint32_t held = pending_[link];
+  if (held == kNone) return;  // crash dropped the buffer
+  const std::uint64_t records = slices_[held].slice.record_count;
   ++retransmissions_;
   ++messages_sent_;
   // Accounting fix: a retransmit re-ships the *same* logical records, so it
@@ -843,12 +952,12 @@ void DistributedRanking::on_retransmit_timer(std::uint32_t src, std::uint32_t ds
   // records, not channel attempts. (It used to, overstating the cost model
   // by exactly the loss-driven retransmit rate.) Re-shipped records and
   // their wire bytes are tallied apart as overhead.
-  retransmit_records_ += payload->record_count;
+  retransmit_records_ += records;
   if (obs_.retransmissions != nullptr) {
     ++*obs_.retransmissions;
     ++*obs_.messages_sent;
-    *obs_.retransmit_records += payload->record_count;
-    *obs_.retransmit_bytes += slice_wire_bytes(payload->record_count);
+    *obs_.retransmit_records += records;
+    *obs_.retransmit_bytes += slice_wire_bytes(records);
   }
   const bool pass_loss = loss_.delivered();
   const bool pass_cut = fault_plane_.deliver(src, dst);
@@ -857,22 +966,26 @@ void DistributedRanking::on_retransmit_timer(std::uint32_t src, std::uint32_t ds
     ++messages_lost_;
     if (obs_.messages_lost != nullptr) ++*obs_.messages_lost;
   } else {
-    const double delay = delivery_delay(src, dst);
+    const double delay = delivery_delay(src, dst, link);
     if (opts_.tracer != nullptr) {
       opts_.tracer->complete(obs::names::kTraceRetransmit, queue_.now(), delay, dst,
-                             {}, static_cast<double>(payload->record_count));
+                             {}, static_cast<double>(records));
     }
-    const std::uint64_t gen = generation_;
+    // The delivery holds its own reference: an ack processed during it may
+    // drop the retransmit buffer.
+    ++slices_[held].refs;
     if (delay <= 0.0) {
-      deliver(src, dst, epoch, *payload);
+      deliver(src, dst, link, epoch, slices_[held].slice);
+      release_slice(held);
     } else {
-      queue_.schedule_in(delay, [this, src, dst, epoch, payload, gen] {
-        if (gen != generation_) return;
-        deliver(src, dst, epoch, *payload);
+      const std::uint64_t gen = generation_;
+      queue_.schedule_in(delay, [this, src, dst, link, epoch, held, gen] {
+        if (gen == generation_) deliver(src, dst, link, epoch, slices_[held].slice);
+        release_slice(held);
       });
     }
   }
-  schedule_retransmit(src, dst, epoch);
+  schedule_retransmit(src, dst, link, epoch);
 }
 
 void DistributedRanking::run_step(std::uint32_t group) {
@@ -887,17 +1000,19 @@ void DistributedRanking::run_step(std::uint32_t group) {
   // (fault_skip_refresh_group is the chaos harness's deliberately broken
   // engine: that group drops its inbox unapplied, so its X stays stale and
   // the convergence invariant must catch it.)
-  auto& inbox = inbox_[group];
+  Inbox& inbox = inbox_[group];
   if (group != opts_.fault_skip_refresh_group) {
-    for (auto& [source, slice] : inbox) {
-      // Poisoned-slice guard (defense in depth behind the frame codec): a
-      // NaN/Inf/negative or misordered payload must never reach refresh_x,
-      // where it would propagate through every subsequent sweep.
-      if (!transport::entries_valid(slice.entries)) {
-        ++slices_rejected_;
-        continue;
-      }
-      pg.refresh_x(source, std::move(slice));
+    const std::span<const double> values = inbox.values;
+    const std::span<const std::pair<std::uint32_t, double>> entries = inbox.entries;
+    for (const Inbox::Message& msg : inbox.messages) {
+      // Poisoned-slice guard (defense in depth behind the frame codec):
+      // refresh_x refuses a payload of the wrong length, with slots outside
+      // the link or out of order, or with NaN/Inf/negative values — it
+      // would otherwise propagate through every subsequent sweep.
+      const bool applied =
+          msg.sparse ? pg.refresh_x(msg.link, entries.subspan(msg.begin, msg.size))
+                     : pg.refresh_x(msg.link, values.subspan(msg.begin, msg.size));
+      if (!applied) ++slices_rejected_;
     }
   }
   inbox.clear();
@@ -962,13 +1077,15 @@ void DistributedRanking::run_step(std::uint32_t group) {
     }
   }
 
-  // Compute and send Y to every group we have cut edges into.
-  for (const std::uint32_t dest : pg.efferent_destinations()) {
-    YSlice slice = pg.compute_y(dest, opts_.send_threshold);
-    if (opts_.send_threshold > 0.0 && slice.entries.empty()) {
+  // Compute and send Y on every link out of this group: the group's links
+  // are contiguous in the table, so this is one streaming pass.
+  for (std::uint32_t link = links_.out_begin(group); link < links_.out_end(group);
+       ++link) {
+    pg.compute_y(link, opts_.send_threshold, outgoing_);
+    if (outgoing_.sparse && outgoing_.entries.empty()) {
       continue;  // nothing moved enough to be worth a message
     }
-    send_slice(group, dest, std::move(slice));
+    send_slice(group, link, outgoing_);
   }
 
   // Publish-at-iteration-boundary (DESIGN.md §12): loop-step boundaries are

@@ -22,7 +22,7 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "engine/engine_types.hpp"
@@ -50,6 +50,10 @@ class DistributedRanking {
   DistributedRanking(const graph::WebGraph& g,
                      std::span<const std::uint32_t> assignment, std::uint32_t k,
                      const EngineOptions& opts, util::ThreadPool& pool);
+  // Queued events and the groups' link-table pointers hold this object's
+  // address, so it neither copies nor moves.
+  DistributedRanking(const DistributedRanking&) = delete;
+  DistributedRanking& operator=(const DistributedRanking&) = delete;
 
   /// Reference ranks R* for the relative-error metric (normally
   /// open_system_reference(...)). Required before run()/run_until_error().
@@ -237,11 +241,17 @@ class DistributedRanking {
   [[nodiscard]] std::uint64_t corrupt_frames_applied() const noexcept {
     return corrupt_frames_applied_;
   }
-  /// Slices rejected by the NaN/Inf/negative/order guard at refresh time
-  /// (defense in depth behind the codec; must stay 0 in simulation).
+  /// Slices rejected by the guard at refresh time: wrong length, slots
+  /// outside the link or out of order, NaN/Inf/negative values (defense in
+  /// depth behind the codec; must stay 0 in simulation).
   [[nodiscard]] std::uint64_t slices_rejected() const noexcept {
     return slices_rejected_;
   }
+  /// Queue `slice` in dst's inbox as if the channel had delivered it on the
+  /// link src → dst: fault injection for the poisoned-slice guard, which
+  /// checks it at dst's next refresh. Throws std::invalid_argument when src
+  /// has no cut edge into dst.
+  void inject_slice(std::uint32_t src, std::uint32_t dst, const YSlice& slice);
 
   /// Advance virtual time to t_end, recording a Sample every
   /// `sample_interval` time units (Fig. 6 / Fig. 7 series). May be called
@@ -307,9 +317,9 @@ class DistributedRanking {
   [[nodiscard]] std::uint32_t suspected_pairs() const noexcept {
     return reliable_ ? reliable_->suspected_pairs() : 0;
   }
-  /// Pairs currently holding an unacked buffered slice.
+  /// Links currently holding an unacked buffered slice.
   [[nodiscard]] std::uint64_t pending_retransmits() const noexcept {
-    return pending_payload_.size();
+    return pending_count_;
   }
   /// Receiver-side epoch high-water mark for (src, dst); non-decreasing
   /// for the lifetime of the engine (epochs survive crash and churn).
@@ -350,13 +360,37 @@ class DistributedRanking {
   }
 
  private:
-  struct InboxMessage {
-    std::uint32_t source = 0;
-    YSlice slice;
+  /// Slices delivered to a group since its last step, stored inline in
+  /// arrival order so the step streams through them.
+  struct Inbox {
+    struct Message {
+      std::uint32_t link = 0;
+      bool sparse = false;
+      std::size_t begin = 0;  ///< first value (full) or entry (sparse)
+      std::size_t size = 0;
+    };
+    std::vector<Message> messages;
+    std::vector<double> values;
+    std::vector<std::pair<std::uint32_t, double>> entries;
+
+    void push(std::uint32_t link, const YSlice& slice);
+    void clear() noexcept;
   };
+  /// A pooled slice buffer. `refs` counts its holders: in-flight delivery
+  /// events and the link's retransmit buffer.
+  struct SliceBuf {
+    YSlice slice;
+    std::uint32_t refs = 0;
+    std::uint32_t next_free = 0;
+  };
+  static constexpr std::uint32_t kNone = UINT32_MAX;
 
   static EngineOptions validated(EngineOptions opts);
   void build_groups(std::span<const std::uint32_t> assignment);
+  /// Deliver every link's Y, computed from current ranks, straight into its
+  /// receiver's X — state transfer, outside the channel and its accounting.
+  /// The chaos harness's deliberately broken ranker is skipped.
+  void prime_x();
   void schedule_step(std::uint32_t group);
   void run_step(std::uint32_t group);
   void init_obs();
@@ -364,26 +398,38 @@ class DistributedRanking {
   /// without one) and restart the publish-cadence clock.
   void publish_snapshot();
 
-  // Reliable-exchange plumbing.
-  void send_slice(std::uint32_t src, std::uint32_t dst, YSlice slice);
-  void deliver(std::uint32_t src, std::uint32_t dst, transport::Epoch epoch,
-               YSlice slice);
-  void schedule_retransmit(std::uint32_t src, std::uint32_t dst,
+  // Slice pool for slices that outlive their send: in flight behind a
+  // delivery delay, or buffered for retransmission. Buffers are recycled,
+  // so steady-state sends allocate nothing. hold() copies a slice into a
+  // buffer with one reference; every holder drops its own with
+  // release_slice().
+  [[nodiscard]] std::uint32_t hold(const YSlice& slice);
+  void release_slice(std::uint32_t slice);
+  /// Drop every link's retransmit buffer.
+  void drop_pending();
+  /// Make `slice` the link's retransmit buffer, adopting one reference.
+  void set_pending(std::uint32_t link, std::uint32_t slice);
+  void clear_pending(std::uint32_t link);
+
+  // Exchange plumbing.
+  void send_slice(std::uint32_t src, std::uint32_t link, const YSlice& slice);
+  void arrive(std::uint32_t src, std::uint32_t dst, std::uint32_t link,
+              const YSlice& slice);
+  void deliver(std::uint32_t src, std::uint32_t dst, std::uint32_t link,
+               transport::Epoch epoch, const YSlice& slice);
+  void schedule_retransmit(std::uint32_t src, std::uint32_t dst, std::uint32_t link,
                            transport::Epoch epoch);
-  void on_retransmit_timer(std::uint32_t src, std::uint32_t dst,
+  void on_retransmit_timer(std::uint32_t src, std::uint32_t dst, std::uint32_t link,
                            transport::Epoch epoch);
   void apply_churn(std::span<const std::uint32_t> assignment);
   /// Corruption round-trip at delivery: encode the slice as a wire frame,
-  /// let the fault plane maybe flip bytes, decode + validate. Returns false
-  /// (slice untouched) when the frame was quarantined. No-op pass-through
-  /// while corruption is disabled.
-  [[nodiscard]] bool frame_survives(std::uint32_t src, std::uint32_t dst,
-                                    transport::Epoch epoch, YSlice& slice);
-
-  [[nodiscard]] static std::uint64_t pair_key(std::uint32_t src,
-                                              std::uint32_t dst) noexcept {
-    return (static_cast<std::uint64_t>(src) << 32) | dst;
-  }
+  /// let the fault plane maybe flip bytes, decode + validate. Returns the
+  /// slice to deliver — `slice` itself, or what a corrupted frame that
+  /// still passed the checksum decoded to — or nullptr when the frame was
+  /// quarantined. No-op pass-through while corruption is disabled.
+  [[nodiscard]] const YSlice* frame_survives(std::uint32_t src, std::uint32_t dst,
+                                             transport::Epoch epoch, std::uint32_t link,
+                                             const YSlice& slice);
 
   // Thread-confinement contract (DESIGN.md §9): the engine runs on one
   // simulation thread. The only concurrency is inside PageGroup's rank
@@ -394,7 +440,7 @@ class DistributedRanking {
   EngineOptions opts_;
   util::ThreadPool& pool_;
   std::vector<std::unique_ptr<PageGroup>> groups_ P2P_EXTERNALLY_SYNCHRONIZED;
-  std::vector<std::vector<InboxMessage>> inbox_ P2P_EXTERNALLY_SYNCHRONIZED;
+  std::vector<Inbox> inbox_ P2P_EXTERNALLY_SYNCHRONIZED;
   sim::EventQueue queue_ P2P_EXTERNALLY_SYNCHRONIZED;
   sim::WaitProcess waits_ P2P_EXTERNALLY_SYNCHRONIZED;
   sim::LossModel loss_ P2P_EXTERNALLY_SYNCHRONIZED;
@@ -403,12 +449,25 @@ class DistributedRanking {
   util::Rng jitter_rng_ P2P_EXTERNALLY_SYNCHRONIZED;
   double latency_jitter_ = 0.0;
   std::optional<transport::ReliableExchange> reliable_ P2P_EXTERNALLY_SYNCHRONIZED;
-  /// Buffered newest unacked slice per (src, dst) — shared with in-flight
-  /// delivery events so retransmits do not copy the payload.
-  std::unordered_map<std::uint64_t, std::shared_ptr<const YSlice>> pending_payload_
-      P2P_EXTERNALLY_SYNCHRONIZED;
-  /// Wiring generation: bumped by churn; deliveries stamped with an older
-  /// generation carry dest-local indices of dead wiring and are dropped.
+  /// Every cut link of the current wiring and both endpoints' exchange
+  /// state (DESIGN.md §15); rebuilt with the groups.
+  LinkTable links_ P2P_EXTERNALLY_SYNCHRONIZED;
+  std::vector<SliceBuf> slices_ P2P_EXTERNALLY_SYNCHRONIZED;
+  std::uint32_t free_slice_ = kNone;
+  /// Per link: the newest unacked slice (retransmit mode), or kNone.
+  /// In-flight delivery events share it, so retransmits copy nothing.
+  std::vector<std::uint32_t> pending_ P2P_EXTERNALLY_SYNCHRONIZED;
+  std::uint64_t pending_count_ = 0;
+  /// The Y slice being sent; reused across sends.
+  YSlice outgoing_;
+  /// Scratch for the corruption round-trip: (page, value) frame entries,
+  /// the decoded frame, and a decoded slice that a corrupted frame carried.
+  std::vector<std::pair<std::uint32_t, double>> frame_entries_;
+  transport::DecodedFrame decoded_;
+  YSlice collided_;
+  /// Wiring generation: bumped by churn and drop_in_flight; deliveries,
+  /// acks and timers stamped with an older generation name links of dead
+  /// wiring (or a rolled-back timeline) and are dropped.
   std::uint64_t generation_ = 0;
   std::vector<double> reference_;
   std::vector<double> prev_sample_ranks_;
@@ -450,8 +509,9 @@ class DistributedRanking {
   std::uint64_t status_messages_ = 0;
   std::vector<double> step_scratch_;
 
-  // Full-stack mode: cached overlay hop counts per (src group, dst group).
-  std::unordered_map<std::uint64_t, std::uint32_t> hop_cache_;
+  // Full-stack mode: overlay hop count per link, routed on first use
+  // (kNone = not yet routed).
+  std::vector<std::uint32_t> hops_;
   std::uint64_t record_hops_ = 0;
 
   // Observability hooks (EngineOptions::metrics/tracer; DESIGN.md §11).
@@ -485,7 +545,8 @@ class DistributedRanking {
   };
   ObsHooks obs_ P2P_EXTERNALLY_SYNCHRONIZED;
 
-  [[nodiscard]] double delivery_delay(std::uint32_t src, std::uint32_t dst);
+  [[nodiscard]] double delivery_delay(std::uint32_t src, std::uint32_t dst,
+                                      std::uint32_t link);
 
   /// Floor on sampled waits: a group whose drawn mean is ~0 would otherwise
   /// flood virtual time with events. (The paper's discrete-time simulation

@@ -8,8 +8,140 @@
 #include <stdexcept>
 
 #include "rank/open_system.hpp"
+#include "transport/frame.hpp"
 
 namespace p2prank::engine {
+
+namespace {
+
+constexpr double kNever = std::numeric_limits<double>::quiet_NaN();
+
+bool values_fit(std::size_t slots, std::span<const double> values) noexcept {
+  if (values.size() != slots) return false;
+  for (const double v : values) {
+    if (!(v >= 0.0 && v <= std::numeric_limits<double>::max())) return false;
+  }
+  return true;
+}
+
+bool entries_fit(std::size_t slots,
+                 std::span<const std::pair<std::uint32_t, double>> entries) noexcept {
+  return transport::entries_valid(entries) &&
+         (entries.empty() || entries.back().first < slots);
+}
+
+}  // namespace
+
+void LinkTable::link_edges(std::span<const std::size_t> bucket,
+                           std::span<const std::uint32_t> dst_group,
+                           std::span<const std::uint32_t> src_local,
+                           std::span<const std::uint32_t> dst_local) {
+  const auto k = static_cast<std::uint32_t>(bucket.size() - 1);
+  out_begin_.assign(k + 1, 0);
+  slot_begin_.assign(1, 0);
+  edge_begin_.assign(1, 0);
+  edge_src_.reserve(bucket[k]);
+  std::vector<std::uint32_t> pages;  // slot pages in link order
+
+  // Per source group: counting sort of its edges by destination group
+  // (stable, so a link keeps wiring order), one link per destination.
+  std::vector<std::uint32_t> count(k, 0);
+  std::vector<std::uint32_t> dests;
+  std::vector<std::uint32_t> link_src;  // scratch: this group's edges by link
+  std::vector<std::uint32_t> link_page;
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t g = 0; g < k; ++g) {
+    out_begin_[g] = static_cast<std::uint32_t>(link_dst_.size());
+    const std::size_t lo = bucket[g];
+    const std::size_t hi = bucket[g + 1];
+    dests.clear();
+    for (std::size_t e = lo; e < hi; ++e) {
+      if (count[dst_group[e]]++ == 0) dests.push_back(dst_group[e]);
+    }
+    std::sort(dests.begin(), dests.end());
+    std::uint32_t offset = 0;
+    for (const std::uint32_t d : dests) {
+      const std::uint32_t n = count[d];
+      count[d] = offset;  // becomes the link's scatter cursor
+      offset += n;
+    }
+    link_src.resize(hi - lo);
+    link_page.resize(hi - lo);
+    for (std::size_t e = lo; e < hi; ++e) {
+      const std::uint32_t pos = count[dst_group[e]]++;
+      link_src[pos] = src_local[e];
+      link_page[pos] = dst_local[e];
+    }
+    std::uint32_t first = 0;
+    for (const std::uint32_t d : dests) {
+      const std::uint32_t last = count[d];  // cursor now sits at the link's end
+      count[d] = 0;
+      // Order the link's edges by destination page with the unstable sort
+      // of the per-block wiring, replayed on the same key sequence: equal
+      // pages keep the edge order that sort produced, so every Y sum adds
+      // its terms in the pre-link-table order (bitwise contract, §15).
+      const std::span<const std::uint32_t> keys(link_page.data() + first, last - first);
+      order.resize(keys.size());
+      std::iota(order.begin(), order.end(), 0);
+      std::sort(order.begin(), order.end(),
+                [&](std::uint32_t a, std::uint32_t b) { return keys[a] < keys[b]; });
+      for (const std::uint32_t i : order) {
+        if (pages.size() == slot_begin_.back() || pages.back() != keys[i]) {
+          pages.push_back(keys[i]);
+          slot_edges_.push_back(0);
+        }
+        ++slot_edges_.back();
+        edge_src_.push_back(link_src[first + i]);
+      }
+      link_dst_.push_back(d);
+      slot_begin_.push_back(pages.size());
+      edge_begin_.push_back(edge_src_.size());
+      first = last;
+    }
+  }
+  out_begin_[k] = static_cast<std::uint32_t>(link_dst_.size());
+  last_sent_.assign(pages.size(), kNever);
+
+  // Receiver side: positions grouped by destination, ascending link id (=
+  // ascending source) within a destination; slots copied into place.
+  const std::uint32_t num_links = this->num_links();
+  in_begin_.assign(k + 1, 0);
+  for (const std::uint32_t d : link_dst_) ++in_begin_[d + 1];
+  for (std::uint32_t g = 0; g < k; ++g) in_begin_[g + 1] += in_begin_[g];
+  link_recv_.resize(num_links);
+  std::vector<std::uint32_t> cursor(in_begin_.begin(), in_begin_.end() - 1);
+  std::vector<std::uint32_t> recv_link(num_links);
+  for (std::uint32_t l = 0; l < num_links; ++l) {
+    link_recv_[l] = cursor[link_dst_[l]]++;
+    recv_link[link_recv_[l]] = l;
+  }
+  recv_slot_begin_.assign(1, 0);
+  recv_slot_begin_.reserve(num_links + 1);
+  slot_page_.reserve(pages.size());
+  for (const std::uint32_t l : recv_link) {
+    slot_page_.insert(slot_page_.end(),
+                      pages.begin() + static_cast<std::ptrdiff_t>(slot_begin_[l]),
+                      pages.begin() + static_cast<std::ptrdiff_t>(slot_begin_[l + 1]));
+    recv_slot_begin_.push_back(slot_page_.size());
+  }
+  received_.assign(slot_page_.size(), kNever);
+}
+
+std::uint32_t LinkTable::find(std::uint32_t src, std::uint32_t dst) const noexcept {
+  const auto dests = destinations(src);
+  const auto it = std::lower_bound(dests.begin(), dests.end(), dst);
+  if (it == dests.end() || *it != dst) return kNoLink;
+  return out_begin_[src] + static_cast<std::uint32_t>(it - dests.begin());
+}
+
+std::uint32_t LinkTable::slot_of(std::uint32_t link, std::uint32_t page) const noexcept {
+  const std::uint32_t r = link_recv_[link];
+  const auto first = slot_page_.begin() + static_cast<std::ptrdiff_t>(recv_slot_begin_[r]);
+  const auto last = slot_page_.begin() + static_cast<std::ptrdiff_t>(recv_slot_begin_[r + 1]);
+  const auto it = std::lower_bound(first, last, page);
+  if (it != last && *it == page) return static_cast<std::uint32_t>(it - first);
+  return static_cast<std::uint32_t>(last - first);
+}
 
 PageGroup::PageGroup(const graph::WebGraph& g, std::vector<graph::PageId> members,
                      double alpha, std::span<const double> e_local)
@@ -52,111 +184,89 @@ void PageGroup::reset_state() {
   forcing_ = beta_e_;
   last_sweep_delta_ = 0.0;
   wl_state_.reset();
-  received_.clear();
-  for (auto& block : blocks_) {
-    std::fill(block.last_sent.begin(), block.last_sent.end(),
-              std::numeric_limits<double>::quiet_NaN());
-  }
+  if (links_ == nullptr) return;
+  LinkTable& t = *links_;
+  const auto fill_never = [](std::vector<double>& v, std::size_t lo, std::size_t hi) {
+    std::fill(v.begin() + static_cast<std::ptrdiff_t>(lo),
+              v.begin() + static_cast<std::ptrdiff_t>(hi), kNever);
+  };
+  fill_never(t.received_, t.recv_slot_begin_[t.in_begin_[self_]],
+             t.recv_slot_begin_[t.in_begin_[self_ + 1]]);
+  fill_never(t.last_sent_, t.slot_begin_[t.out_begin_[self_]],
+             t.slot_begin_[t.out_begin_[self_ + 1]]);
 }
 
-void PageGroup::add_efferent_edge(std::uint32_t dest_group, std::uint32_t dest_local,
-                                  std::uint32_t src_local, double weight) {
-  assert(!finalized_);
-  assert(src_local < members_.size());
-  // Blocks arrive grouped in practice; linear search from the back is fine
-  // during wiring.
-  auto it = std::find_if(blocks_.begin(), blocks_.end(), [&](const EfferentBlock& b) {
-    return b.dest_group == dest_group;
-  });
-  if (it == blocks_.end()) {
-    EfferentBlock block;
-    block.dest_group = dest_group;
-    blocks_.push_back(std::move(block));
-    it = std::prev(blocks_.end());
-  }
-  it->dst_local.push_back(dest_local);
-  it->src_local.push_back(src_local);
-  it->weight.push_back(weight);
+void PageGroup::attach_links(LinkTable& links, std::uint32_t self) {
+  assert(self < links.num_groups());
+  links_ = &links;
+  self_ = self;
 }
 
-void PageGroup::finalize_efferents() {
-  assert(!finalized_);
-  std::sort(blocks_.begin(), blocks_.end(),
-            [](const EfferentBlock& a, const EfferentBlock& b) {
-              return a.dest_group < b.dest_group;
-            });
-  for (auto& block : blocks_) {
-    // Sort edges by destination page so compute_y can merge runs.
-    std::vector<std::uint32_t> order(block.dst_local.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return block.dst_local[a] < block.dst_local[b];
-    });
-    EfferentBlock sorted;
-    sorted.dest_group = block.dest_group;
-    sorted.dst_local.reserve(order.size());
-    sorted.src_local.reserve(order.size());
-    sorted.weight.reserve(order.size());
-    for (const std::uint32_t i : order) {
-      sorted.dst_local.push_back(block.dst_local[i]);
-      sorted.src_local.push_back(block.src_local[i]);
-      sorted.weight.push_back(block.weight[i]);
-    }
-    for (std::size_t i = 0; i < sorted.dst_local.size(); ++i) {
-      if (sorted.unique_dst.empty() || sorted.unique_dst.back() != sorted.dst_local[i]) {
-        sorted.unique_dst.push_back(sorted.dst_local[i]);
-      }
-    }
-    sorted.last_sent.assign(sorted.unique_dst.size(),
-                            std::numeric_limits<double>::quiet_NaN());
-    block = std::move(sorted);
-  }
-  efferent_dests_.clear();
-  efferent_dests_.reserve(blocks_.size());
-  for (const auto& b : blocks_) efferent_dests_.push_back(b.dest_group);
-  finalized_ = true;
+std::span<const std::uint32_t> PageGroup::efferent_destinations() const noexcept {
+  if (links_ == nullptr) return {};
+  return links_->destinations(self_);
 }
 
-const PageGroup::EfferentBlock* PageGroup::find_block(std::uint32_t dest_group) const {
-  const auto it = std::lower_bound(
-      blocks_.begin(), blocks_.end(), dest_group,
-      [](const EfferentBlock& b, std::uint32_t d) { return b.dest_group < d; });
-  if (it == blocks_.end() || it->dest_group != dest_group) return nullptr;
-  return &*it;
+bool PageGroup::receives(std::uint32_t link) const noexcept {
+  // Receiver positions are grouped by destination, so this reads one
+  // per-link word instead of the sender-ordered destination as well.
+  if (links_ == nullptr || link >= links_->num_links()) return false;
+  const std::uint32_t r = links_->link_recv_[link];
+  return r >= links_->in_begin_[self_] && r < links_->in_begin_[self_ + 1];
 }
 
-PageGroup::EfferentBlock* PageGroup::find_block(std::uint32_t dest_group) {
-  return const_cast<EfferentBlock*>(
-      static_cast<const PageGroup*>(this)->find_block(dest_group));
+std::pair<std::size_t, std::size_t> PageGroup::received_slots(
+    std::uint32_t link) const noexcept {
+  const std::uint32_t r = links_->link_recv_[link];
+  const std::size_t first = links_->recv_slot_begin_[r];
+  return {first, links_->recv_slot_begin_[r + 1] - first};
 }
 
-void PageGroup::refresh_x(std::uint32_t source_group, const YSlice& slice) {
-  // X(v) = Σ over (source group, page) of the latest received contribution.
-  // Maintain the dense sum incrementally: each incoming entry supersedes
-  // the stored value for its (source, page) pair.
-  auto& stored = received_[source_group];
-  for (const auto& [local, value] : slice.entries) {
-    assert(local < x_.size());
-    double& slot = stored.try_emplace(local, 0.0).first->second;
-    const double delta = value - slot;
-    x_[local] += delta;
-    forcing_[local] += delta;
-    slot = value;
-    // A bitwise-unchanged forcing slot (delta exactly 0) cannot change the
-    // row's next value, so only real changes wake the row.
-    if (worklist_enabled_ && delta != 0.0) wl_state_.mark_forcing_dirty(local);
-  }
+void PageGroup::apply_slot(std::size_t at, double value) {
+  // X(v) = Σ over (link, slot) of the latest received contribution.
+  // Maintain the dense sum incrementally: each incoming value supersedes the
+  // stored value of its slot (NaN = never received, which counts as 0).
+  const std::uint32_t local = links_->slot_page_[at];
+  double& stored = links_->received_[at];
+  const double delta = value - (std::isnan(stored) ? 0.0 : stored);
+  x_[local] += delta;
+  forcing_[local] += delta;
+  stored = value;
+  // A bitwise-unchanged forcing slot (delta exactly 0) cannot change the
+  // row's next value, so only real changes wake the row.
+  if (worklist_enabled_ && delta != 0.0) wl_state_.mark_forcing_dirty(local);
+}
+
+bool PageGroup::refresh_x(std::uint32_t link, std::span<const double> values) {
+  if (!receives(link)) return false;
+  const auto [first, slots] = received_slots(link);
+  if (!values_fit(slots, values)) return false;
+  for (std::size_t slot = 0; slot < slots; ++slot) apply_slot(first + slot, values[slot]);
+  return true;
+}
+
+bool PageGroup::refresh_x(std::uint32_t link,
+                          std::span<const std::pair<std::uint32_t, double>> entries) {
+  if (!receives(link)) return false;
+  const auto [first, slots] = received_slots(link);
+  if (!entries_fit(slots, entries)) return false;
+  for (const auto& [slot, value] : entries) apply_slot(first + slot, value);
+  return true;
 }
 
 void PageGroup::scale_received(std::uint32_t source_group, double factor) {
   if (!(factor >= 0.0 && factor <= 1.0)) {
     throw std::invalid_argument("PageGroup::scale_received: factor out of [0,1]");
   }
-  const auto it = received_.find(source_group);
-  if (it == received_.end()) return;  // never heard from that peer
-  // p2plint: allow(no-unordered-iteration): distinct keys write distinct
-  // x_/forcing_ slots, so the per-entry updates commute bitwise.
-  for (auto& [local, value] : it->second) {
+  if (links_ == nullptr || source_group >= links_->num_groups()) return;
+  const std::uint32_t link = links_->find(source_group, self_);
+  if (link == LinkTable::kNoLink) return;  // that peer sends us nothing
+  const auto [first, slots] = received_slots(link);
+  // Slots of one link name distinct pages, so the updates commute bitwise.
+  for (std::size_t at = first; at < first + slots; ++at) {
+    double& value = links_->received_[at];
+    if (std::isnan(value)) continue;  // never heard on this slot
+    const std::uint32_t local = links_->slot_page_[at];
     const double decayed = value * factor;
     const double delta = decayed - value;
     x_[local] += delta;
@@ -226,15 +336,11 @@ bool PageGroup::install_worklist_carry(
 }
 
 void PageGroup::mark_all_received_dirty() {
-  if (!worklist_enabled_) return;
-  // p2plint: allow(no-unordered-iteration): setting forcing-dirty bits is
-  // idempotent and commutative, so visit order cannot affect state.
-  for (const auto& [source, entries] : received_) {
-    (void)source;
-    for (const auto& [local, value] : entries) {
-      (void)value;
-      wl_state_.mark_forcing_dirty(local);
-    }
+  if (!worklist_enabled_ || links_ == nullptr) return;
+  const LinkTable& t = *links_;
+  for (std::size_t at = t.recv_slot_begin_[t.in_begin_[self_]];
+       at < t.recv_slot_begin_[t.in_begin_[self_ + 1]]; ++at) {
+    if (!std::isnan(t.received_[at])) wl_state_.mark_forcing_dirty(t.slot_page_[at]);
   }
 }
 
@@ -287,50 +393,49 @@ void PageGroup::sweep_once(util::ThreadPool& pool) {
   std::swap(ranks_, scratch_);
 }
 
-YSlice PageGroup::compute_y(std::uint32_t dest_group, double threshold) const {
-  const EfferentBlock* block = find_block(dest_group);
-  if (block == nullptr) {
-    throw std::invalid_argument("PageGroup::compute_y: no edges to that group");
+void PageGroup::compute_y(std::uint32_t link, double threshold, YSlice& out) const {
+  if (links_ == nullptr || link < links_->out_begin(self_) || link >= links_->out_end(self_)) {
+    throw std::invalid_argument("PageGroup::compute_y: not a link out of this group");
   }
-  YSlice slice;
-  slice.entries.reserve(block->unique_dst.size());
-  // Edges are sorted by destination page: accumulate runs; run index u
-  // tracks the position in unique_dst / last_sent.
-  std::size_t i = 0;
-  std::size_t u = 0;
-  while (i < block->dst_local.size()) {
-    const std::uint32_t dst = block->dst_local[i];
+  const std::size_t first = links_->slot_begin_[link];
+  const std::size_t slots = links_->slot_begin_[link + 1] - first;
+  const std::uint32_t* const runs = links_->slot_edges_.data() + first;
+  const std::uint32_t* src = links_->edge_src_.data() + links_->edge_begin_[link];
+  const double* const weight = matrix_.source_weights().data();
+  // Slots follow the link's edges in order: one streaming pass, summing each
+  // slot's run of edges.
+  out.sparse = threshold > 0.0;
+  out.values.resize(out.sparse ? 0 : slots);
+  out.entries.clear();
+  out.record_count = out.sparse ? 0 : links_->edge_count(link);
+  const double* const last_sent = links_->last_sent_.data() + first;
+  for (std::size_t slot = 0; slot < slots; ++slot) {
     double acc = 0.0;
-    std::uint64_t edges = 0;
-    for (; i < block->dst_local.size() && block->dst_local[i] == dst; ++i) {
-      acc += ranks_[block->src_local[i]] * block->weight[i];
-      ++edges;
+    for (const std::uint32_t* end = src + runs[slot]; src != end; ++src) {
+      acc += ranks_[*src] * weight[*src];
     }
-    assert(block->unique_dst[u] == dst);
-    const double last = block->last_sent[u];
-    ++u;
+    if (!out.sparse) {
+      out.values[slot] = acc;
+      continue;
+    }
     // Include when never sent, or moved at least `threshold` since the last
     // committed send.
-    if (std::isnan(last) || std::fabs(acc - last) >= threshold ||
-        threshold <= 0.0) {
-      slice.entries.emplace_back(dst, acc);
-      slice.record_count += edges;
+    const double last = last_sent[slot];
+    if (std::isnan(last) || std::fabs(acc - last) >= threshold) {
+      out.entries.emplace_back(static_cast<std::uint32_t>(slot), acc);
+      out.record_count += runs[slot];
     }
   }
-  return slice;
 }
 
-void PageGroup::commit_sent(std::uint32_t dest_group, const YSlice& slice) {
-  EfferentBlock* block = find_block(dest_group);
-  if (block == nullptr) {
-    throw std::invalid_argument("PageGroup::commit_sent: no edges to that group");
-  }
-  // Both unique_dst and slice entries are ascending: merge.
-  std::size_t u = 0;
-  for (const auto& [dst, value] : slice.entries) {
-    while (u < block->unique_dst.size() && block->unique_dst[u] < dst) ++u;
-    assert(u < block->unique_dst.size() && block->unique_dst[u] == dst);
-    block->last_sent[u] = value;
+void PageGroup::commit_sent(std::uint32_t link, const YSlice& slice) {
+  assert(links_ != nullptr && link >= links_->out_begin(self_) &&
+         link < links_->out_end(self_));
+  double* const last_sent = links_->last_sent_.data() + links_->slot_begin_[link];
+  if (slice.sparse) {
+    for (const auto& [slot, value] : slice.entries) last_sent[slot] = value;
+  } else {
+    std::copy(slice.values.begin(), slice.values.end(), last_sent);
   }
 }
 

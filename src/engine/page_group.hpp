@@ -1,21 +1,21 @@
-// One page ranker's local state (Section 3's "page group" G).
+// One page ranker's local state (Section 3's "page group" G), and the
+// link table through which groups exchange Y slices.
 //
 // A group owns a subset of the crawl and keeps:
 //   * A   — the local open-system matrix over its own pages (inner links),
 //   * R   — its current rank vector,
-//   * X   — afferent rank, assembled from the latest Y slice received from
-//           each other group (refresh = replace that group's slice, NOT
-//           accumulate: a slice is a snapshot of the sender's efferent
-//           contribution, so a newer one supersedes the older),
-//   * efferent blocks — for every destination group, the cut edges into it,
-//           from which the outgoing Y slice is computed as
-//           Y(v) = Σ α·R(u)/d(u) over cut edges u→v (the paper prints β in
-//           formula 3.5; see DESIGN.md "Known typo handled").
+//   * X   — afferent rank, assembled from the latest Y slice received on
+//           each link into the group (refresh = replace that link's values,
+//           NOT accumulate: a slice is a snapshot of the sender's efferent
+//           contribution, so a newer one supersedes the older).
+// The cut edges themselves live in the engine-wide LinkTable, from which the
+// outgoing Y slice is computed as Y(v) = Σ α·R(u)/d(u) over cut edges u→v
+// (the paper prints β in formula 3.5; see DESIGN.md "Known typo handled").
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/web_graph.hpp"
@@ -25,17 +25,142 @@
 
 namespace p2prank::engine {
 
-/// Sparse efferent-rank message from one group to another. Semantically a
-/// *patch*: each entry is the sender's current total contribution to that
-/// destination page; entries not present keep their previous value. (A full
-/// snapshot is simply a patch containing every entry.)
+/// One Y message on a link (DESIGN.md §15). A *full* slice — the paper's
+/// algorithm as written (send_threshold == 0) — carries one value per slot
+/// of its link, in slot order, and no indices. A *sparse* slice is a patch:
+/// (slot, value) pairs, ascending; slots it does not name keep their
+/// previous value.
 struct YSlice {
-  /// (destination-local page index, rank contribution) pairs, ascending.
-  std::vector<std::pair<std::uint32_t, double>> entries;
+  bool sparse = false;
+  std::vector<double> values;                             ///< full slices
+  std::vector<std::pair<std::uint32_t, double>> entries;  ///< sparse slices
   /// Number of <url_from, url_to, score> wire records this slice stands
-  /// for (= cut edges feeding the included entries) — traffic accounting.
+  /// for (= cut edges feeding the included slots) — traffic accounting.
   std::uint64_t record_count = 0;
 };
+
+/// Every cut link (source group → destination group) of one engine wiring,
+/// with the exchange state of both endpoints (DESIGN.md §15).
+///
+/// Link ids are dense and ordered by (source group, destination group). A
+/// link's *slots* are the distinct destination-local pages its cut edges
+/// point at, ascending. The sender's Y values and the receiver's stored
+/// values share that slot index, so neither side maps page ids at exchange
+/// time. Sender state is laid out in link order, so a group's outgoing links
+/// are one contiguous stretch; receiver state is laid out in (destination,
+/// source) order, so a group's incoming slots are one contiguous stretch too.
+class LinkTable {
+ public:
+  static constexpr std::uint32_t kNoLink = UINT32_MAX;
+
+  LinkTable() = default;
+
+  /// Build from the cut edges. `walk(emit)` must call
+  /// emit(src_group, dst_group, src_local, dst_local) once per cut edge, in
+  /// wiring order, and is invoked twice (count, then scatter) with the same
+  /// sequence. A counting sort groups the edges by source group, then by
+  /// destination group, keeping wiring order inside a link; the edges of a
+  /// link are then ordered by destination page with the same std::sort the
+  /// per-block wiring used, so every Y sum keeps its summation order.
+  template <typename Walk>
+  [[nodiscard]] static LinkTable build(std::uint32_t num_groups, Walk&& walk);
+
+  [[nodiscard]] std::uint32_t num_groups() const noexcept {
+    return out_begin_.empty() ? 0 : static_cast<std::uint32_t>(out_begin_.size() - 1);
+  }
+  [[nodiscard]] std::uint32_t num_links() const noexcept {
+    return static_cast<std::uint32_t>(link_dst_.size());
+  }
+  /// Links out of `group` are the ids [out_begin(group), out_end(group)).
+  [[nodiscard]] std::uint32_t out_begin(std::uint32_t group) const noexcept {
+    return out_begin_[group];
+  }
+  [[nodiscard]] std::uint32_t out_end(std::uint32_t group) const noexcept {
+    return out_begin_[group + 1];
+  }
+  /// Destination group of every link out of `group`, ascending.
+  [[nodiscard]] std::span<const std::uint32_t> destinations(
+      std::uint32_t group) const noexcept {
+    return {link_dst_.data() + out_begin_[group], link_dst_.data() + out_begin_[group + 1]};
+  }
+  /// The link src → dst, or kNoLink when src has no cut edge into dst.
+  [[nodiscard]] std::uint32_t find(std::uint32_t src, std::uint32_t dst) const noexcept;
+
+  [[nodiscard]] std::uint32_t dst(std::uint32_t link) const noexcept {
+    return link_dst_[link];
+  }
+  [[nodiscard]] std::size_t slot_count(std::uint32_t link) const noexcept {
+    return slot_begin_[link + 1] - slot_begin_[link];
+  }
+  [[nodiscard]] std::uint64_t edge_count(std::uint32_t link) const noexcept {
+    return edge_begin_[link + 1] - edge_begin_[link];
+  }
+  /// Destination-local page of a slot.
+  [[nodiscard]] std::uint32_t slot_page(std::uint32_t link, std::size_t slot) const noexcept {
+    return slot_page_[recv_slot_begin_[link_recv_[link]] + slot];
+  }
+  /// Slot of a destination-local page, or slot_count(link) when the link
+  /// has no edge into that page.
+  [[nodiscard]] std::uint32_t slot_of(std::uint32_t link, std::uint32_t page) const noexcept;
+
+ private:
+  friend class PageGroup;
+
+  /// Second half of build(): `bucket[g]..bucket[g + 1]` are the cut edges
+  /// of source group g, in wiring order.
+  void link_edges(std::span<const std::size_t> bucket,
+                  std::span<const std::uint32_t> dst_group,
+                  std::span<const std::uint32_t> src_local,
+                  std::span<const std::uint32_t> dst_local);
+
+  // Sender side, in link order. Per group (k + 1): first outgoing link.
+  std::vector<std::uint32_t> out_begin_;
+  // Per link: destination group, receiver-side position, first slot and
+  // first cut edge (both size num_links + 1).
+  std::vector<std::uint32_t> link_dst_;
+  std::vector<std::uint32_t> link_recv_;
+  std::vector<std::size_t> slot_begin_;
+  std::vector<std::size_t> edge_begin_;
+  // Per slot: cut edges feeding it, and the last committed value (NaN =
+  // never committed).
+  std::vector<std::uint32_t> slot_edges_;
+  std::vector<double> last_sent_;
+  // Per cut edge, in slot order: the sender-local source page. Its weight
+  // α/d(u) is the sender matrix's source weight, so it is not stored again.
+  std::vector<std::uint32_t> edge_src_;
+
+  // Receiver side, in (destination, source) order. Per group (k + 1):
+  // first incoming position; per position (num_links + 1): first slot.
+  std::vector<std::uint32_t> in_begin_;
+  std::vector<std::size_t> recv_slot_begin_;
+  // Per slot: destination-local page, and the latest received value (NaN =
+  // never received).
+  std::vector<std::uint32_t> slot_page_;
+  std::vector<double> received_;
+};
+
+template <typename Walk>
+LinkTable LinkTable::build(std::uint32_t num_groups, Walk&& walk) {
+  // Counting sort by source group: count, then scatter in wiring order.
+  std::vector<std::size_t> bucket(num_groups + 1, 0);
+  walk([&](std::uint32_t src, std::uint32_t, std::uint32_t, std::uint32_t) {
+    ++bucket[src + 1];
+  });
+  for (std::uint32_t g = 0; g < num_groups; ++g) bucket[g + 1] += bucket[g];
+  std::vector<std::uint32_t> dst_group(bucket[num_groups]);
+  std::vector<std::uint32_t> src_local(bucket[num_groups]);
+  std::vector<std::uint32_t> dst_local(bucket[num_groups]);
+  std::vector<std::size_t> cursor(bucket.begin(), bucket.end() - 1);
+  walk([&](std::uint32_t src, std::uint32_t dst, std::uint32_t from, std::uint32_t to) {
+    const std::size_t pos = cursor[src]++;
+    dst_group[pos] = dst;
+    src_local[pos] = from;
+    dst_local[pos] = to;
+  });
+  LinkTable t;
+  t.link_edges(bucket, dst_group, src_local, dst_local);
+  return t;
+}
 
 class PageGroup {
  public:
@@ -56,34 +181,38 @@ class PageGroup {
   /// state across a link-graph swap (warm start on a mutated crawl).
   void set_ranks(std::span<const double> ranks);
 
-  /// Wipe all runtime state — R, X, received slices, last-sent snapshots —
-  /// as a crash-without-checkpoint does. The structural state (matrix,
-  /// efferent blocks) survives; peers re-deliver X on their next sends.
+  /// Wipe all runtime state — R, X, the values received on every link into
+  /// this group, the last-sent values of every link out of it — as a
+  /// crash-without-checkpoint does. The structural state (matrix, link
+  /// table) survives; peers re-deliver X on their next sends.
   void reset_state();
 
-  /// Register a cut edge (global u in this group) -> (global v in `dest`);
-  /// local index of v within dest is `dest_local`. Called during engine
-  /// wiring, before the first step.
-  void add_efferent_edge(std::uint32_t dest_group, std::uint32_t dest_local,
-                         std::uint32_t src_local, double weight);
-  /// Sort/pack efferent blocks after all edges are added.
-  void finalize_efferents();
+  /// Join `links` as group `self`: Y is computed for the links out of
+  /// `self`, X is refreshed from the links into it. Called during engine
+  /// wiring, before the first step; the table must outlive the group.
+  void attach_links(LinkTable& links, std::uint32_t self);
 
-  /// Destination groups this group ships Y slices to.
-  [[nodiscard]] std::span<const std::uint32_t> efferent_destinations() const noexcept {
-    return efferent_dests_;
-  }
+  /// Destination groups this group ships Y slices to (empty until
+  /// attach_links).
+  [[nodiscard]] std::span<const std::uint32_t> efferent_destinations() const noexcept;
 
-  /// Apply a received slice: each entry supersedes the stored value from
-  /// that (source group, page) pair. This is the "Refresh X" of Algorithms
-  /// 3/4 (the engine drains the network inbox into this). Keeps
-  /// X = Σ_sources latest-per-entry exact for full and delta slices alike.
-  void refresh_x(std::uint32_t source_group, const YSlice& slice);
+  /// Apply a slice received on `link` (a link into this group), given as
+  /// the values of a full slice or the entries of a sparse one: each value
+  /// supersedes the stored value of its slot. This is the "Refresh X" of
+  /// Algorithms 3/4 (the engine drains the network inbox into this). Keeps
+  /// X = Σ_links latest-per-slot exact for full and sparse slices alike.
+  /// Returns false, touching nothing, unless the link ends at this group,
+  /// a full slice has exactly one value per slot, a sparse one names
+  /// strictly ascending slots of the link, and every value is finite and
+  /// non-negative.
+  [[nodiscard]] bool refresh_x(std::uint32_t link, std::span<const double> values);
+  [[nodiscard]] bool refresh_x(std::uint32_t link,
+                               std::span<const std::pair<std::uint32_t, double>> entries);
 
   /// Graceful degradation on suspected peer death: scale every stored X
   /// contribution received from `source_group` by `factor` (in [0, 1]).
   /// The next genuine slice from that peer supersedes the decayed values
-  /// entry-by-entry, exactly like any refresh.
+  /// slot by slot, exactly like any refresh.
   void scale_received(std::uint32_t source_group, double factor);
 
   /// Route all local iteration through the residual-driven worklist kernel
@@ -128,7 +257,7 @@ class PageGroup {
                               std::span<const std::uint32_t> changed_sources_local);
 
   /// Force every row with any received X entry to recompute next sweep.
-  /// After an incremental swap the fresh group's received_ map is re-primed
+  /// After an incremental swap the fresh group's received slots are re-primed
   /// from full Y slices; entries that land at bitwise 0.0 produce no
   /// refresh_x() delta yet may still supersede a nonzero pre-swap X, so the
   /// conservative mark keeps the frontier sound (recomputing a consistent
@@ -149,18 +278,19 @@ class PageGroup {
   /// (and a snapshot copy) over R.
   [[nodiscard]] double last_sweep_delta() const noexcept { return last_sweep_delta_; }
 
-  /// Compute the outgoing Y slice for one destination group from current R.
-  /// With threshold > 0, entries whose value moved less than `threshold`
-  /// since the last *committed* send to that group are omitted (delta
-  /// sending — the paper's "reduce communication overhead" future work);
-  /// never-sent entries are always included.
-  [[nodiscard]] YSlice compute_y(std::uint32_t dest_group,
-                                 double threshold = 0.0) const;
+  /// Compute the outgoing Y slice of `link` (a link out of this group) from
+  /// current R into `out`, reusing its buffers. With threshold == 0 the
+  /// slice is full. With threshold > 0 it is sparse: slots whose value
+  /// moved less than `threshold` since the last *committed* send are
+  /// omitted (delta sending — the paper's "reduce communication overhead"
+  /// future work); never-sent slots are always included. Throws
+  /// std::invalid_argument for a link that does not start at this group.
+  void compute_y(std::uint32_t link, double threshold, YSlice& out) const;
 
-  /// Record that `slice` reached dest_group, so future thresholded sends
-  /// diff against it. Call only on successful delivery — after a lost
-  /// message the changes stay pending and ride the next slice.
-  void commit_sent(std::uint32_t dest_group, const YSlice& slice);
+  /// Record that `slice` reached the receiver of `link`, so future
+  /// thresholded sends diff against it. Call only on successful delivery —
+  /// after a lost message the changes stay pending and ride the next slice.
+  void commit_sent(std::uint32_t link, const YSlice& slice);
 
   /// Count one completed loop step.
   void count_outer_step() noexcept { ++outer_steps_; }
@@ -168,20 +298,14 @@ class PageGroup {
   [[nodiscard]] const rank::LinkMatrix& matrix() const noexcept { return matrix_; }
 
  private:
-  struct EfferentBlock {
-    std::uint32_t dest_group = 0;
-    // Parallel arrays, sorted by dst_local: one entry per cut edge.
-    std::vector<std::uint32_t> dst_local;
-    std::vector<std::uint32_t> src_local;
-    std::vector<double> weight;  // alpha / d(src)
-    // Last committed value per *distinct* destination page, aligned with
-    // the runs of dst_local (filled by finalize_efferents / commit_sent).
-    std::vector<std::uint32_t> unique_dst;
-    std::vector<double> last_sent;  // NaN = never sent
-  };
-
-  [[nodiscard]] const EfferentBlock* find_block(std::uint32_t dest_group) const;
-  [[nodiscard]] EfferentBlock* find_block(std::uint32_t dest_group);
+  /// Whether `link` is a link into this group.
+  [[nodiscard]] bool receives(std::uint32_t link) const noexcept;
+  /// First received slot of `link` (a link into this group) and its slot
+  /// count.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> received_slots(
+      std::uint32_t link) const noexcept;
+  /// Supersede the stored value of received slot `at`.
+  void apply_slot(std::size_t at, double value);
 
   std::vector<graph::PageId> members_;
   rank::LinkMatrix matrix_;
@@ -195,13 +319,9 @@ class PageGroup {
   rank::WorklistOptions wl_opts_;
   rank::WorklistState wl_state_;        // frontier bitmaps, pinned to ranks_/scratch_
   double last_sweep_delta_ = 0.0;       // L1 residual of the last sweep_once
-  std::vector<EfferentBlock> blocks_;   // sorted by dest_group
-  std::vector<std::uint32_t> efferent_dests_;
-  // Latest received value per (source group, local page) — patch semantics.
-  std::unordered_map<std::uint32_t, std::unordered_map<std::uint32_t, double>>
-      received_;
+  LinkTable* links_ = nullptr;          // engine-owned; null until attached
+  std::uint32_t self_ = 0;              // this group's id in links_
   std::uint64_t outer_steps_ = 0;
-  bool finalized_ = false;
 };
 
 }  // namespace p2prank::engine

@@ -202,6 +202,7 @@ class BinaryReader {
   }
 
   [[nodiscard]] bool exhausted() const noexcept { return pos_ == data_.size(); }
+  [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
 
  private:
   const char* need(std::size_t count) {
@@ -276,6 +277,17 @@ class GraphBinaryIo {
     const std::uint64_t total_external = r.u64();
     if (n >= static_cast<std::uint64_t>(kInvalidPage)) {
       throw std::runtime_error("load_graph_binary: page count out of range");
+    }
+    // Hostile headers must not drive allocation: every count below sizes a
+    // buffer, so it must be backed by the bytes that follow, at the
+    // smallest encoding of each item — 4 bytes per site name (its length),
+    // 10 per page (site id, url length, external and out-degree varints),
+    // 1 per link (its gap varint).
+    const std::uint64_t rest = r.remaining();
+    if (num_sites > rest / 4 || n > rest / 10 || m > rest ||
+        4 * num_sites + 10 * n + m > rest) {
+      throw std::runtime_error(
+          "load_graph_binary: header counts exceed the stream (truncated or hostile)");
     }
 
     std::vector<std::string> site_names;

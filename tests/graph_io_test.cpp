@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -233,6 +235,41 @@ TEST(GraphBinaryIo, RejectsTruncatedAndTrailingStreams) {
 
   std::stringstream trailing(bytes + "x");
   EXPECT_THROW((void)load_graph_binary(trailing), std::runtime_error);
+}
+
+/// A bare p2pgrb1 header (no body) with the given counts.
+std::string binary_header(std::uint64_t pages, std::uint64_t sites, std::uint64_t links) {
+  std::string bytes = "p2pgrb1\n";
+  for (const std::uint64_t v : {pages, sites, links, std::uint64_t{0}}) {
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+  return bytes;
+}
+
+TEST(GraphBinaryIo, RejectsHeaderCountsTheStreamCannotBack) {
+  // 40 bytes claiming 2^31 pages: must be refused before anything is sized
+  // from the count (a zero-filled 2^31-entry table would take seconds and
+  // gigabytes).
+  const auto start = std::chrono::steady_clock::now();
+  std::stringstream huge_pages(binary_header(std::uint64_t{1} << 31, 0, 0));
+  ASSERT_EQ(huge_pages.str().size(), 40u);
+  EXPECT_THROW((void)load_graph_binary(huge_pages), std::runtime_error);
+  std::stringstream huge_sites(binary_header(0, std::uint64_t{1} << 40, 0));
+  EXPECT_THROW((void)load_graph_binary(huge_sites), std::runtime_error);
+  std::stringstream huge_links(binary_header(0, 0, std::uint64_t{1} << 40));
+  EXPECT_THROW((void)load_graph_binary(huge_links), std::runtime_error);
+  std::stringstream overflowing(binary_header(1, std::uint64_t{1} << 62, 0));
+  EXPECT_THROW((void)load_graph_binary(overflowing), std::runtime_error);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(250));
+
+  // A valid stream with one page more in its header than it encodes fails
+  // the same way, or as truncated.
+  std::stringstream buffer;
+  save_graph_binary(test::two_cycle(), buffer);
+  std::string bytes = buffer.str();
+  bytes[8] = static_cast<char>(bytes[8] + 1);
+  std::stringstream inflated(bytes);
+  EXPECT_THROW((void)load_graph_binary(inflated), std::runtime_error);
 }
 
 }  // namespace
