@@ -295,6 +295,11 @@ void DistributedRanking::build_groups(std::span<const std::uint32_t> assignment)
   for (std::uint32_t grp = 0; grp < k; ++grp) groups_[grp]->attach_links(links_, grp);
   pending_.assign(opts_.reliability.retransmit ? links_.num_links() : 0, kNone);
   pending_count_ = 0;
+  if (reliable_) {
+    link_pairs_.assign(links_.num_links(), LinkPair{});
+    // Every link that sends takes one pair slot: size the pair table once.
+    reliable_->reserve(links_.num_links());
+  }
   hops_.assign(opts_.overlay != nullptr ? links_.num_links() : 0, kNone);
 
   // Every membership change funnels through here (construction, churn);
@@ -600,7 +605,36 @@ double DistributedRanking::delivery_delay(std::uint32_t src, std::uint32_t dst,
 void DistributedRanking::schedule_step(std::uint32_t group) {
   active_[group] = 1;
   const double wait = std::max(kMinWait, waits_.next_wait(group));
-  queue_.schedule_in(wait, [this, group] { run_step(group); });
+  queue_.schedule_in(wait, Event{.kind = Event::Kind::kStep, .group = group});
+}
+
+void DistributedRanking::advance_to(double t) {
+  events_executed_ += queue_.run_until(t, [this](const Event& ev) { fire(ev); });
+}
+
+void DistributedRanking::fire(const Event& ev) {
+  // Deliveries and timers stamped with an older generation name links of a
+  // rebuilt wiring (or of a rolled-back timeline): they are dropped.
+  const bool live = ev.generation == generation_;
+  switch (ev.kind) {
+    case Event::Kind::kStep:
+      run_step(ev.group);
+      return;
+    case Event::Kind::kArrive:
+      if (live) arrive(ev.group, ev.link, slices_[ev.ref].slice);
+      release_slice(ev.ref);
+      return;
+    case Event::Kind::kDeliver:
+      if (live) deliver(ev.group, ev.link, ev.epoch, slices_[ev.ref].slice);
+      release_slice(ev.ref);
+      return;
+    case Event::Kind::kAck:
+      apply_ack(ev);
+      return;
+    case Event::Kind::kTimer:
+      if (live) on_retransmit_timer(ev.group, ev.link, ev.epoch);
+      return;
+  }
 }
 
 void DistributedRanking::Inbox::push(std::uint32_t link, const YSlice& slice) {
@@ -711,18 +745,17 @@ void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t link,
                              {}, static_cast<double>(records));
     }
     if (delay <= 0.0) {
-      arrive(src, dst, link, slice);
+      arrive(src, link, slice);
     } else {
       // The slice lands in the inbox when the event fires — unless churn
       // rebuilt the wiring meanwhile (its link is stale, so it is dropped;
       // with no retransmission that loss is repaired by the sender's next
       // step).
-      const std::uint32_t held = hold(slice);
-      const std::uint64_t gen = generation_;
-      queue_.schedule_in(delay, [this, src, dst, link, held, gen] {
-        if (gen == generation_) arrive(src, dst, link, slices_[held].slice);
-        release_slice(held);
-      });
+      queue_.schedule_in(delay, Event{.kind = Event::Kind::kArrive,
+                                      .group = src,
+                                      .link = link,
+                                      .ref = hold(slice),
+                                      .generation = generation_});
     }
     return;
   }
@@ -731,7 +764,7 @@ void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t link,
   // is on (a fresh send supersedes the link's previous unacked slice — the
   // buffer holds at most one slice per link), then transmit. Sends to a
   // suspected peer still go out: they double as probes.
-  const transport::Epoch epoch = reliable_->begin_send(src, dst);
+  const transport::Epoch epoch = reliable_->begin_send(pair_slot(src, link));
   std::uint32_t held = kNone;
   if (opts_.reliability.retransmit) {
     held = hold(slice);
@@ -763,7 +796,7 @@ void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t link,
                              {}, static_cast<double>(records));
     }
     if (delay <= 0.0) {
-      deliver(src, dst, link, epoch, slice);
+      deliver(src, link, epoch, slice);
     } else {
       // The retransmit buffer doubles as the in-flight payload.
       if (held == kNone) {
@@ -771,27 +804,40 @@ void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t link,
       } else {
         ++slices_[held].refs;
       }
-      const std::uint64_t gen = generation_;
-      queue_.schedule_in(delay, [this, src, dst, link, epoch, held, gen] {
-        if (gen == generation_) deliver(src, dst, link, epoch, slices_[held].slice);
-        release_slice(held);
-      });
+      queue_.schedule_in(delay, Event{.kind = Event::Kind::kDeliver,
+                                      .group = src,
+                                      .link = link,
+                                      .ref = held,
+                                      .epoch = epoch,
+                                      .generation = generation_});
     }
   }
-  if (opts_.reliability.retransmit) schedule_retransmit(src, dst, link, epoch);
+  if (opts_.reliability.retransmit) schedule_retransmit(src, link, epoch);
 }
 
-void DistributedRanking::arrive(std::uint32_t src, std::uint32_t dst,
-                                std::uint32_t link, const YSlice& slice) {
+DistributedRanking::PairSlot DistributedRanking::pair_slot(std::uint32_t src,
+                                                           std::uint32_t link) {
+  LinkPair& lp = link_pairs_[link];
+  if (lp.slot == kNone) {
+    const std::uint32_t dst = links_.dst(link);
+    lp.slot = reliable_->pair_slot(src, dst);
+    lp.reverse = links_.find(dst, src);
+  }
+  return lp.slot;
+}
+
+void DistributedRanking::arrive(std::uint32_t src, std::uint32_t link,
+                                const YSlice& slice) {
+  const std::uint32_t dst = links_.dst(link);
   const YSlice* const arrived = frame_survives(src, dst, 0, link, slice);
   if (arrived == nullptr) return;
   if (obs_.deliveries != nullptr) ++*obs_.deliveries;
   inbox_[dst].push(link, *arrived);
 }
 
-void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
-                                 std::uint32_t link, transport::Epoch epoch,
-                                 const YSlice& slice) {
+void DistributedRanking::deliver(std::uint32_t src, std::uint32_t link,
+                                 transport::Epoch epoch, const YSlice& slice) {
+  const std::uint32_t dst = links_.dst(link);
   // Transport-level processing at delivery time: runs even when dst's
   // application loop is paused (the protocol stack stays up; only the
   // ranker sleeps) and even when dst crashed meanwhile (a reboot does not
@@ -803,13 +849,19 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
   // the sender's retransmit timer re-ships it).
   const YSlice* const arrived = frame_survives(src, dst, epoch, link, slice);
   if (arrived == nullptr) return;
+  // The link carried this slice, so its first send filled its pair slot.
+  const LinkPair lp = link_pairs_[link];
   // Receiving data from src is evidence src is alive: clear any suspicion
   // on the reverse pair and, if a retransmit was parked there, re-arm it.
-  if (reliable_->peer_alive(dst, src)) {
-    schedule_retransmit(dst, src, links_.find(dst, src),
-                        reliable_->pending_epoch(dst, src));
+  // A reverse link that has not sent in this wiring has nothing pending,
+  // parked or backed off, so there is nothing for the evidence to clear.
+  if (lp.reverse != LinkTable::kNoLink) {
+    const PairSlot back = link_pairs_[lp.reverse].slot;
+    if (back != kNone && reliable_->peer_alive(back)) {
+      schedule_retransmit(dst, lp.reverse, reliable_->pending_epoch(back));
+    }
   }
-  const bool fresh = reliable_->accept(src, dst, epoch);
+  const bool fresh = reliable_->accept(lp.slot, epoch);
   if (fresh) {
     if (obs_.deliveries != nullptr) ++*obs_.deliveries;
     inbox_[dst].push(link, *arrived);
@@ -829,28 +881,33 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t dst,
     ++*obs_.partition_drops;
   }
   if (!ack_pass_loss || !ack_pass_cut) return;
-  const transport::Epoch value = reliable_->accepted_epoch(src, dst);
+  const Event ack{.kind = Event::Kind::kAck,
+                  .group = src,
+                  .link = link,
+                  .ref = lp.slot,
+                  .epoch = reliable_->accepted_epoch(lp.slot),
+                  .generation = generation_};
   const double delay = opts_.reliability.ack_latency;
-  const std::uint64_t gen = generation_;
-  auto apply_ack = [this, src, dst, link, value, gen] {
-    ++acks_delivered_;
-    if (obs_.acks_delivered != nullptr) ++*obs_.acks_delivered;
-    // An ack from before a churn rebuild cannot clear a newer epoch, and
-    // its link id belongs to the old wiring: only the transport sees it.
-    if (reliable_->on_ack(src, dst, value) && gen == generation_ && !pending_.empty() &&
-        pending_[link] != kNone) {
-      // Cleared the pending epoch: the buffered payload is now known
-      // delivered — commit it for delta-sending and drop it.
-      if (opts_.send_threshold > 0.0) {
-        groups_[src]->commit_sent(link, slices_[pending_[link]].slice);
-      }
-      clear_pending(link);
-    }
-  };
   if (delay <= 0.0) {
-    apply_ack();
+    apply_ack(ack);
   } else {
-    queue_.schedule_in(delay, apply_ack);
+    queue_.schedule_in(delay, ack);
+  }
+}
+
+void DistributedRanking::apply_ack(const Event& ack) {
+  ++acks_delivered_;
+  if (obs_.acks_delivered != nullptr) ++*obs_.acks_delivered;
+  // An ack from before a churn rebuild cannot clear a newer epoch, and
+  // its link id belongs to the old wiring: only the transport sees it.
+  if (reliable_->on_ack(ack.ref, ack.epoch) && ack.generation == generation_ &&
+      !pending_.empty() && pending_[ack.link] != kNone) {
+    // Cleared the pending epoch: the buffered payload is now known
+    // delivered — commit it for delta-sending and drop it.
+    if (opts_.send_threshold > 0.0) {
+      groups_[ack.group]->commit_sent(ack.link, slices_[pending_[ack.link]].slice);
+    }
+    clear_pending(ack.link);
   }
 }
 
@@ -875,9 +932,9 @@ const YSlice* DistributedRanking::frame_survives(std::uint32_t src, std::uint32_
     }
   }
   const transport::FrameHeader header{src, dst, epoch, slice.record_count};
-  auto frame = transport::encode_frame(header, frame_entries_);
-  const bool corrupted = fault_plane_.maybe_corrupt(frame);
-  const auto verdict = transport::decode_frame(frame, decoded_);
+  transport::encode_frame(header, frame_entries_, frame_bytes_);
+  const bool corrupted = fault_plane_.maybe_corrupt(frame_bytes_);
+  const auto verdict = transport::decode_frame(frame_bytes_, decoded_);
   if (verdict != transport::FrameVerdict::kOk) {
     ++frames_quarantined_;
     if (obs_.frames_quarantined != nullptr) ++*obs_.frames_quarantined;
@@ -906,22 +963,22 @@ bool DistributedRanking::has_cut_edges(std::uint32_t src,
   return dst < links_.num_groups() && links_.find(src, dst) != LinkTable::kNoLink;
 }
 
-void DistributedRanking::schedule_retransmit(std::uint32_t src, std::uint32_t dst,
-                                             std::uint32_t link,
+void DistributedRanking::schedule_retransmit(std::uint32_t src, std::uint32_t link,
                                              transport::Epoch epoch) {
-  const double delay = reliable_->timer_delay(src, dst);
-  const std::uint64_t gen = generation_;
-  queue_.schedule_in(delay, [this, src, dst, link, epoch, gen] {
-    // Timers armed before a churn rebuild reference retired payloads.
-    if (gen != generation_) return;
-    on_retransmit_timer(src, dst, link, epoch);
-  });
+  // Timers armed before a churn rebuild reference retired payloads; the
+  // generation stamp drops them.
+  queue_.schedule_in(reliable_->timer_delay(link_pairs_[link].slot),
+                     Event{.kind = Event::Kind::kTimer,
+                           .group = src,
+                           .link = link,
+                           .epoch = epoch,
+                           .generation = generation_});
 }
 
-void DistributedRanking::on_retransmit_timer(std::uint32_t src, std::uint32_t dst,
-                                             std::uint32_t link,
+void DistributedRanking::on_retransmit_timer(std::uint32_t src, std::uint32_t link,
                                              transport::Epoch epoch) {
-  switch (reliable_->on_timer(src, dst, epoch)) {
+  const std::uint32_t dst = links_.dst(link);
+  switch (reliable_->on_timer(link_pairs_[link].slot, epoch)) {
     case transport::ReliableExchange::TimerVerdict::kSuperseded:
     case transport::ReliableExchange::TimerVerdict::kAcked:
     case transport::ReliableExchange::TimerVerdict::kParked:
@@ -940,7 +997,7 @@ void DistributedRanking::on_retransmit_timer(std::uint32_t src, std::uint32_t ds
     case transport::ReliableExchange::TimerVerdict::kRetransmit:
       break;
   }
-  if (link == LinkTable::kNoLink || pending_.empty()) return;
+  if (pending_.empty()) return;
   const std::uint32_t held = pending_[link];
   if (held == kNone) return;  // crash dropped the buffer
   const std::uint64_t records = slices_[held].slice.record_count;
@@ -975,17 +1032,18 @@ void DistributedRanking::on_retransmit_timer(std::uint32_t src, std::uint32_t ds
     // drop the retransmit buffer.
     ++slices_[held].refs;
     if (delay <= 0.0) {
-      deliver(src, dst, link, epoch, slices_[held].slice);
+      deliver(src, link, epoch, slices_[held].slice);
       release_slice(held);
     } else {
-      const std::uint64_t gen = generation_;
-      queue_.schedule_in(delay, [this, src, dst, link, epoch, held, gen] {
-        if (gen == generation_) deliver(src, dst, link, epoch, slices_[held].slice);
-        release_slice(held);
-      });
+      queue_.schedule_in(delay, Event{.kind = Event::Kind::kDeliver,
+                                      .group = src,
+                                      .link = link,
+                                      .ref = held,
+                                      .epoch = epoch,
+                                      .generation = generation_});
     }
   }
-  schedule_retransmit(src, dst, link, epoch);
+  schedule_retransmit(src, link, epoch);
 }
 
 void DistributedRanking::run_step(std::uint32_t group) {
@@ -1175,7 +1233,7 @@ std::vector<Sample> DistributedRanking::run(double t_end, double sample_interval
 
   for (double t = queue_.now() + sample_interval; t <= t_end + 1e-12;
        t += sample_interval) {
-    queue_.run_until(t);
+    advance_to(t);
     Sample s;
     s.time = t;
     const auto ranks = global_ranks();
@@ -1206,7 +1264,7 @@ ConvergenceResult DistributedRanking::run_until_error(double threshold,
   double t = queue_.now();
   while (err > threshold && t < max_time) {
     t = std::min(t + check_interval, max_time);
-    queue_.run_until(t);
+    advance_to(t);
     err = relative_error_now();
   }
   result.reached = err <= threshold;

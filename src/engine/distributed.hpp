@@ -50,8 +50,8 @@ class DistributedRanking {
   DistributedRanking(const graph::WebGraph& g,
                      std::span<const std::uint32_t> assignment, std::uint32_t k,
                      const EngineOptions& opts, util::ThreadPool& pool);
-  // Queued events and the groups' link-table pointers hold this object's
-  // address, so it neither copies nor moves.
+  // The groups hold pointers into this object's link table, so it neither
+  // copies nor moves.
   DistributedRanking(const DistributedRanking&) = delete;
   DistributedRanking& operator=(const DistributedRanking&) = delete;
 
@@ -291,6 +291,11 @@ class DistributedRanking {
   /// only; 0 with the abstract channel).
   [[nodiscard]] std::uint64_t record_hops() const noexcept { return record_hops_; }
   [[nodiscard]] sim::SimTime now() const noexcept { return queue_.now(); }
+  /// Simulator events executed so far: loop steps, delayed deliveries,
+  /// acks and retransmit timers.
+  [[nodiscard]] std::uint64_t events_executed() const noexcept {
+    return events_executed_;
+  }
 
   // --- Reliable-exchange diagnostics (all 0 with fire-and-forget) ----------
   /// Re-sends of an unacked epoch (each is also counted in messages_sent).
@@ -384,6 +389,33 @@ class DistributedRanking {
     std::uint32_t next_free = 0;
   };
   static constexpr std::uint32_t kNone = UINT32_MAX;
+  using PairSlot = transport::ReliableExchange::PairSlot;
+
+  /// One simulator event (DESIGN.md §15): 32 B, trivially copyable and
+  /// stored by value in the queue, so scheduling one allocates nothing.
+  struct Event {
+    enum class Kind : std::uint8_t {
+      kStep,     ///< `group` runs a loop step
+      kArrive,   ///< fire-and-forget: slice `ref` lands in the inbox of `link`'s receiver
+      kDeliver,  ///< reliable: slice `ref`, stamped `epoch`, reaches `link`'s receiver
+      kAck,      ///< cumulative ack `epoch` for pair `ref` reaches its sender `group`
+      kTimer,    ///< retransmit timer for `epoch` on `link`
+    };
+    Kind kind = Kind::kStep;
+    std::uint32_t group = 0;  ///< step: the ranker; otherwise the sender
+    std::uint32_t link = 0;   ///< a link of the wiring at `generation`
+    /// arrive/deliver: the pooled slice the event holds. ack: the reliable
+    /// pair of `link` — pair slots outlive link ids, so an ack from before
+    /// a churn rebuild still reaches its pair's epochs.
+    std::uint32_t ref = 0;
+    transport::Epoch epoch = 0;
+    std::uint64_t generation = 0;
+  };
+  /// Reliable-layer handles of one link, filled on its first send.
+  struct LinkPair {
+    PairSlot slot = kNone;                       ///< pair (src, dst)
+    std::uint32_t reverse = LinkTable::kNoLink;  ///< link dst → src, if any
+  };
 
   static EngineOptions validated(EngineOptions opts);
   void build_groups(std::span<const std::uint32_t> assignment);
@@ -393,6 +425,9 @@ class DistributedRanking {
   void prime_x();
   void schedule_step(std::uint32_t group);
   void run_step(std::uint32_t group);
+  /// Run every event up to virtual time t.
+  void advance_to(double t);
+  void fire(const Event& ev);
   void init_obs();
   /// Push the current (ranks, ownership) into opts_.snapshot_sink (no-op
   /// without one) and restart the publish-cadence clock.
@@ -413,14 +448,15 @@ class DistributedRanking {
 
   // Exchange plumbing.
   void send_slice(std::uint32_t src, std::uint32_t link, const YSlice& slice);
-  void arrive(std::uint32_t src, std::uint32_t dst, std::uint32_t link,
-              const YSlice& slice);
-  void deliver(std::uint32_t src, std::uint32_t dst, std::uint32_t link,
-               transport::Epoch epoch, const YSlice& slice);
-  void schedule_retransmit(std::uint32_t src, std::uint32_t dst, std::uint32_t link,
-                           transport::Epoch epoch);
-  void on_retransmit_timer(std::uint32_t src, std::uint32_t dst, std::uint32_t link,
-                           transport::Epoch epoch);
+  /// The link's reliable pair slot, assigned (and its reverse link looked
+  /// up) on the link's first send.
+  [[nodiscard]] PairSlot pair_slot(std::uint32_t src, std::uint32_t link);
+  void arrive(std::uint32_t src, std::uint32_t link, const YSlice& slice);
+  void deliver(std::uint32_t src, std::uint32_t link, transport::Epoch epoch,
+               const YSlice& slice);
+  void apply_ack(const Event& ack);
+  void schedule_retransmit(std::uint32_t src, std::uint32_t link, transport::Epoch epoch);
+  void on_retransmit_timer(std::uint32_t src, std::uint32_t link, transport::Epoch epoch);
   void apply_churn(std::span<const std::uint32_t> assignment);
   /// Corruption round-trip at delivery: encode the slice as a wire frame,
   /// let the fault plane maybe flip bytes, decode + validate. Returns the
@@ -441,7 +477,8 @@ class DistributedRanking {
   util::ThreadPool& pool_;
   std::vector<std::unique_ptr<PageGroup>> groups_ P2P_EXTERNALLY_SYNCHRONIZED;
   std::vector<Inbox> inbox_ P2P_EXTERNALLY_SYNCHRONIZED;
-  sim::EventQueue queue_ P2P_EXTERNALLY_SYNCHRONIZED;
+  sim::EventQueue<Event> queue_ P2P_EXTERNALLY_SYNCHRONIZED;
+  std::uint64_t events_executed_ = 0;
   sim::WaitProcess waits_ P2P_EXTERNALLY_SYNCHRONIZED;
   sim::LossModel loss_ P2P_EXTERNALLY_SYNCHRONIZED;
   sim::LossModel ack_loss_ P2P_EXTERNALLY_SYNCHRONIZED;
@@ -458,11 +495,15 @@ class DistributedRanking {
   /// In-flight delivery events share it, so retransmits copy nothing.
   std::vector<std::uint32_t> pending_ P2P_EXTERNALLY_SYNCHRONIZED;
   std::uint64_t pending_count_ = 0;
+  /// Per link (reliable mode): its pair slot and reverse link.
+  std::vector<LinkPair> link_pairs_ P2P_EXTERNALLY_SYNCHRONIZED;
   /// The Y slice being sent; reused across sends.
   YSlice outgoing_;
-  /// Scratch for the corruption round-trip: (page, value) frame entries,
-  /// the decoded frame, and a decoded slice that a corrupted frame carried.
+  /// Scratch for the corruption round-trip, reused across frames: (page,
+  /// value) frame entries, the frame bytes, the decoded frame, and a
+  /// decoded slice that a corrupted frame carried.
   std::vector<std::pair<std::uint32_t, double>> frame_entries_;
+  std::vector<std::uint8_t> frame_bytes_;
   transport::DecodedFrame decoded_;
   YSlice collided_;
   /// Wiring generation: bumped by churn and drop_in_flight; deliveries,

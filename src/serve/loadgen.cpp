@@ -108,7 +108,18 @@ LoadGenerator::LoadGenerator(const SnapshotStore& store, std::size_t num_pages,
 
 void LoadGenerator::schedule_think(std::uint32_t client) {
   const double think = rng_.exponential(opts_.think_mean);
-  queue_.schedule_in(think, [this, client] { issue(client); });
+  queue_.schedule_in(think, Event{Event::Kind::kIssue, client});
+}
+
+void LoadGenerator::fire(const Event& ev) {
+  switch (ev.kind) {
+    case Event::Kind::kIssue:
+      issue(ev.client);
+      return;
+    case Event::Kind::kComplete:
+      complete(ev.client);
+      return;
+  }
 }
 
 void LoadGenerator::issue(std::uint32_t client) {
@@ -173,7 +184,7 @@ void LoadGenerator::issue(std::uint32_t client) {
 
 void LoadGenerator::start_service(std::uint32_t client, double service) {
   ++busy_;
-  queue_.schedule_in(service, [this, client] { complete(client); });
+  queue_.schedule_in(service, Event{Event::Kind::kComplete, client});
 }
 
 void LoadGenerator::complete(std::uint32_t client) {
@@ -204,7 +215,9 @@ void LoadGenerator::complete(std::uint32_t client) {
   schedule_think(client);
 }
 
-void LoadGenerator::run_until(double t) { queue_.run_until(t); }
+void LoadGenerator::run_until(double t) {
+  queue_.run_until(t, [this](const Event& ev) { fire(ev); });
+}
 
 LoadGenReport LoadGenerator::report() const {
   LoadGenReport r;

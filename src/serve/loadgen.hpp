@@ -122,6 +122,15 @@ class LoadGenerator {
   [[nodiscard]] LoadGenReport report() const;
 
  private:
+  /// A client's next transition: issue a query after thinking, or
+  /// complete the one in service.
+  struct Event {
+    enum class Kind : std::uint8_t { kIssue, kComplete };
+    Kind kind;
+    std::uint32_t client;
+  };
+
+  void fire(const Event& ev);
   void schedule_think(std::uint32_t client);
   void issue(std::uint32_t client);
   void start_service(std::uint32_t client, double service);
@@ -131,7 +140,7 @@ class LoadGenerator {
   RankServer server_;
   LoadGenOptions opts_;
   ZipfSampler zipf_;
-  sim::EventQueue queue_;
+  sim::EventQueue<Event> queue_;
   util::Rng rng_;
   obs::MetricsRegistry* metrics_;
   obs::Tracer* tracer_;

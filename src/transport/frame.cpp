@@ -124,10 +124,10 @@ bool entries_valid(
   return true;
 }
 
-std::vector<std::uint8_t> encode_frame(
-    const FrameHeader& header,
-    std::span<const std::pair<std::uint32_t, double>> entries) {
-  std::vector<std::uint8_t> out;
+void encode_frame(const FrameHeader& header,
+                  std::span<const std::pair<std::uint32_t, double>> entries,
+                  std::vector<std::uint8_t>& out) {
+  out.clear();
   out.reserve(32 + entries.size() * 10);
   put_u32le(out, kFrameMagic);
   put_varint(out, kFrameVersion);
@@ -149,8 +149,40 @@ std::vector<std::uint8_t> encode_frame(
   const std::uint64_t sum =
       frame_checksum(std::span<const std::uint8_t>(out.data(), out.size()));
   put_u64le(out, sum);
+}
+
+std::vector<std::uint8_t> encode_frame(
+    const FrameHeader& header,
+    std::span<const std::pair<std::uint32_t, double>> entries) {
+  std::vector<std::uint8_t> out;
+  encode_frame(header, entries, out);
   return out;
 }
+
+namespace {
+
+/// Walk `count` (delta, score) entries, checking each, and hand every
+/// valid one to `emit`. Returns kOk only when all were valid.
+template <typename Emit>
+FrameVerdict read_entries(FrameReader& reader, std::uint64_t count, Emit&& emit) {
+  std::uint64_t index = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint64_t delta = 0;
+    double score = 0.0;
+    if (!reader.read_varint(delta) || !reader.read_double(score)) {
+      return FrameVerdict::kTruncated;
+    }
+    index += delta;
+    if (i > 0 && delta == 0) return FrameVerdict::kBadIndexOrder;
+    if (index > UINT32_MAX) return FrameVerdict::kBadIndexOrder;
+    if (!std::isfinite(score) || score < 0.0) return FrameVerdict::kBadScore;
+    emit(static_cast<std::uint32_t>(index), score);
+  }
+  if (reader.remaining() != 0) return FrameVerdict::kBadCount;
+  return FrameVerdict::kOk;
+}
+
+}  // namespace
 
 FrameVerdict decode_frame(std::span<const std::uint8_t> bytes,
                           DecodedFrame& out) {
@@ -172,36 +204,32 @@ FrameVerdict decode_frame(std::span<const std::uint8_t> bytes,
   if (!reader.read_varint(version)) return FrameVerdict::kTruncated;
   if (version != kFrameVersion) return FrameVerdict::kBadVersion;
   if (trailer != expect) return FrameVerdict::kBadChecksum;
-  DecodedFrame frame;
+  FrameHeader header;
   std::uint64_t src = 0;
   std::uint64_t dst = 0;
   if (!reader.read_varint(src) || !reader.read_varint(dst) ||
-      !reader.read_varint(frame.header.epoch) ||
-      !reader.read_varint(frame.header.record_count)) {
+      !reader.read_varint(header.epoch) || !reader.read_varint(header.record_count)) {
     return FrameVerdict::kTruncated;
   }
-  frame.header.src = static_cast<std::uint32_t>(src);
-  frame.header.dst = static_cast<std::uint32_t>(dst);
+  header.src = static_cast<std::uint32_t>(src);
+  header.dst = static_cast<std::uint32_t>(dst);
   std::uint64_t count = 0;
   if (!reader.read_varint(count)) return FrameVerdict::kTruncated;
   // Each entry is at least 9 bytes (1-byte delta + 8-byte score).
   if (count > reader.remaining() / 9) return FrameVerdict::kBadCount;
-  frame.entries.reserve(count);
-  std::uint64_t index = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t delta = 0;
-    double score = 0.0;
-    if (!reader.read_varint(delta) || !reader.read_double(score)) {
-      return FrameVerdict::kTruncated;
-    }
-    index += delta;
-    if (i > 0 && delta == 0) return FrameVerdict::kBadIndexOrder;
-    if (index > UINT32_MAX) return FrameVerdict::kBadIndexOrder;
-    if (!std::isfinite(score) || score < 0.0) return FrameVerdict::kBadScore;
-    frame.entries.emplace_back(static_cast<std::uint32_t>(index), score);
-  }
-  if (reader.remaining() != 0) return FrameVerdict::kBadCount;
-  out = std::move(frame);
+  // Validate every entry before touching `out`, then decode the (now known
+  // good) entries straight into its reused vector.
+  const FrameReader entries_start = reader;
+  const FrameVerdict verdict =
+      read_entries(reader, count, [](std::uint32_t, double) {});
+  if (verdict != FrameVerdict::kOk) return verdict;
+  reader = entries_start;
+  out.header = header;
+  out.entries.clear();
+  out.entries.reserve(count);
+  static_cast<void>(read_entries(reader, count, [&](std::uint32_t index, double score) {
+    out.entries.emplace_back(index, score);
+  }));
   return FrameVerdict::kOk;
 }
 

@@ -59,13 +59,22 @@ struct DecodedFrame {
 [[nodiscard]] bool entries_valid(
     std::span<const std::pair<std::uint32_t, double>> entries) noexcept;
 
-/// Encode one frame. Entries must satisfy entries_valid().
+/// Encode one frame into `out`, replacing its contents and reusing its
+/// capacity (a caller that keeps one buffer encodes without allocating).
+/// Entries must satisfy entries_valid().
+void encode_frame(const FrameHeader& header,
+                  std::span<const std::pair<std::uint32_t, double>> entries,
+                  std::vector<std::uint8_t>& out);
+
+/// Encode one frame into a fresh buffer.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     const FrameHeader& header,
     std::span<const std::pair<std::uint32_t, double>> entries);
 
-/// Validate + decode. On any verdict other than kOk, `out` is untouched
-/// and the frame must be quarantined (counted, never applied).
+/// Validate + decode. On kOk, `out` holds the frame and its entry vector
+/// keeps (and grows only past) its previous capacity. On any other verdict
+/// `out` is untouched and the frame must be quarantined (counted, never
+/// applied).
 [[nodiscard]] FrameVerdict decode_frame(std::span<const std::uint8_t> bytes,
                                         DecodedFrame& out);
 

@@ -24,15 +24,27 @@ ReliableExchange::ReliableExchange(ReliableOptions opts, std::uint64_t seed)
   }
 }
 
-ReliableExchange::PairState& ReliableExchange::state(std::uint32_t src,
-                                                     std::uint32_t dst) {
-  return pairs_[key(src, dst)];
+ReliableExchange::PairSlot ReliableExchange::pair_slot(std::uint32_t src,
+                                                       std::uint32_t dst) {
+  const auto [it, fresh] =
+      slot_of_.try_emplace(key(src, dst), static_cast<PairSlot>(pairs_.size()));
+  if (fresh) {
+    PairState st;
+    st.src = src;
+    pairs_.push_back(st);
+  }
+  return it->second;
+}
+
+void ReliableExchange::reserve(std::size_t pairs) {
+  pairs_.reserve(pairs);
+  slot_of_.reserve(pairs);
 }
 
 const ReliableExchange::PairState* ReliableExchange::find(std::uint32_t src,
                                                           std::uint32_t dst) const {
-  const auto it = pairs_.find(key(src, dst));
-  return it == pairs_.end() ? nullptr : &it->second;
+  const auto it = slot_of_.find(key(src, dst));
+  return it == slot_of_.end() ? nullptr : &pairs_[it->second];
 }
 
 void ReliableExchange::clear_suspicion(PairState& st) {
@@ -52,8 +64,8 @@ void ReliableExchange::reset_transient(PairState& st) {
   clear_suspicion(st);
 }
 
-Epoch ReliableExchange::begin_send(std::uint32_t src, std::uint32_t dst) {
-  PairState& st = state(src, dst);
+Epoch ReliableExchange::begin_send(PairSlot pair) {
+  PairState& st = pairs_[pair];
   const Epoch epoch = st.next_epoch++;
   if (st.pending == 0) {
     ++pending_pairs_;
@@ -69,17 +81,16 @@ Epoch ReliableExchange::begin_send(std::uint32_t src, std::uint32_t dst) {
   return epoch;
 }
 
-double ReliableExchange::timer_delay(std::uint32_t src, std::uint32_t dst) {
-  PairState& st = state(src, dst);
+double ReliableExchange::timer_delay(PairSlot pair) {
+  const PairState& st = pairs_[pair];
   const double rto = st.rto > 0.0 ? st.rto : opts_.rto_initial;
   return rto * (1.0 + (opts_.rto_jitter > 0.0 ? rng_.uniform(0.0, opts_.rto_jitter)
                                               : 0.0));
 }
 
-ReliableExchange::TimerVerdict ReliableExchange::on_timer(std::uint32_t src,
-                                                          std::uint32_t dst,
+ReliableExchange::TimerVerdict ReliableExchange::on_timer(PairSlot pair,
                                                           Epoch epoch) {
-  PairState& st = state(src, dst);
+  PairState& st = pairs_[pair];
   if (st.pending == 0) return TimerVerdict::kSuperseded;  // acked or reset
   if (st.pending != epoch) {
     // A newer send superseded this epoch while the pair is still unacked.
@@ -118,8 +129,8 @@ ReliableExchange::TimerVerdict ReliableExchange::on_timer(std::uint32_t src,
   return TimerVerdict::kRetransmit;
 }
 
-bool ReliableExchange::on_ack(std::uint32_t src, std::uint32_t dst, Epoch value) {
-  PairState& st = state(src, dst);
+bool ReliableExchange::on_ack(PairSlot pair, Epoch value) {
+  PairState& st = pairs_[pair];
   st.acked = std::max(st.acked, value);
   clear_suspicion(st);  // an ack is definite evidence the peer is alive
   if (st.pending != 0 && st.acked >= st.pending) {
@@ -130,10 +141,8 @@ bool ReliableExchange::on_ack(std::uint32_t src, std::uint32_t dst, Epoch value)
   return false;
 }
 
-bool ReliableExchange::peer_alive(std::uint32_t observer, std::uint32_t peer) {
-  const auto it = pairs_.find(key(observer, peer));
-  if (it == pairs_.end()) return false;
-  PairState& st = it->second;
+bool ReliableExchange::peer_alive(PairSlot pair) {
+  PairState& st = pairs_[pair];
   const bool was_parked = st.suspected && st.pending != 0;
   clear_suspicion(st);
   return was_parked;
@@ -144,26 +153,18 @@ bool ReliableExchange::suspected(std::uint32_t src, std::uint32_t dst) const {
   return st != nullptr && st->suspected;
 }
 
-Epoch ReliableExchange::pending_epoch(std::uint32_t src, std::uint32_t dst) const {
-  const PairState* st = find(src, dst);
-  return st == nullptr ? 0 : st->pending;
-}
-
 void ReliableExchange::reset_pending() {
-  // p2plint: allow(no-unordered-iteration): reset_transient touches only
-  // the entry it visits (plus integer counters) — order-independent.
-  for (auto& [k, st] : pairs_) reset_transient(st);
+  for (PairState& st : pairs_) reset_transient(st);
 }
 
 void ReliableExchange::reset_sender(std::uint32_t src) {
-  // p2plint: allow(no-unordered-iteration): per-entry reset, as above.
-  for (auto& [k, st] : pairs_) {
-    if (static_cast<std::uint32_t>(k >> 32) == src) reset_transient(st);
+  for (PairState& st : pairs_) {
+    if (st.src == src) reset_transient(st);
   }
 }
 
-bool ReliableExchange::accept(std::uint32_t src, std::uint32_t dst, Epoch epoch) {
-  PairState& st = state(src, dst);
+bool ReliableExchange::accept(PairSlot pair, Epoch epoch) {
+  PairState& st = pairs_[pair];
   if (epoch > st.accepted) {
     st.accepted = epoch;
     return true;

@@ -44,6 +44,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/thread_annotations.hpp"
@@ -63,6 +64,11 @@ struct ReliableOptions {
 
 class ReliableExchange {
  public:
+  /// Stable index of one ordered (src, dst) pair's state. Assigned by
+  /// pair_slot() on first use and never reused or moved, so a slot taken
+  /// before a churn rebuild still names the same pair afterwards.
+  using PairSlot = std::uint32_t;
+
   /// What the caller should do when a retransmit timer fires.
   enum class TimerVerdict {
     kRetransmit,  ///< still pending: re-send the buffered payload, re-arm
@@ -75,40 +81,45 @@ class ReliableExchange {
 
   ReliableExchange(ReliableOptions opts, std::uint64_t seed);
 
+  /// The slot of (src, dst), assigning a fresh one (epochs from 1, nothing
+  /// pending or accepted) on first sight. The only hashed lookup on the
+  /// send/deliver path; callers cache the result per link.
+  [[nodiscard]] PairSlot pair_slot(std::uint32_t src, std::uint32_t dst);
+  /// Make room for `pairs` slots in all (a capacity hint; assigns none).
+  void reserve(std::size_t pairs);
+
   // --- Sender side ---------------------------------------------------------
 
-  /// Stamp a fresh send on (src, dst): assigns the next epoch and makes it
+  /// Stamp a fresh send on the pair: assigns the next epoch and makes it
   /// the pair's (single) pending epoch, superseding any older one. The
   /// caller replaces its buffered payload accordingly.
-  [[nodiscard]] Epoch begin_send(std::uint32_t src, std::uint32_t dst);
+  [[nodiscard]] Epoch begin_send(PairSlot pair);
 
   /// Delay until the pending epoch's next retransmit check: current RTO
   /// with a fresh jitter draw. Call once per (re)send to arm the timer.
-  [[nodiscard]] double timer_delay(std::uint32_t src, std::uint32_t dst);
+  [[nodiscard]] double timer_delay(PairSlot pair);
 
   /// A retransmit timer armed for `epoch` fired. On kRetransmit the attempt
   /// counter and backoff advance; on kSuspectNow the pair is marked
   /// suspected (counted in suspicion_events()). A superseded-but-unacked
   /// epoch's timer counts a strike (possibly returning kSuspectNow) without
   /// advancing the backoff — the newer epoch's timer chain owns that.
-  [[nodiscard]] TimerVerdict on_timer(std::uint32_t src, std::uint32_t dst,
-                                      Epoch epoch);
+  [[nodiscard]] TimerVerdict on_timer(PairSlot pair, Epoch epoch);
 
-  /// Cumulative ack for (src, dst) arrived: every epoch <= `value` is
+  /// Cumulative ack for the pair arrived: every epoch <= `value` is
   /// delivered. Clears suspicion (definite evidence of life) and resets the
   /// backoff. Returns true when this cleared the pending epoch — the caller
   /// drops its buffered payload.
-  bool on_ack(std::uint32_t src, std::uint32_t dst, Epoch value);
+  bool on_ack(PairSlot pair, Epoch value);
 
-  /// Evidence that `peer` is alive reached `observer` outside the ack path
-  /// (typically: observer received a data slice from peer). Clears
-  /// suspicion and resets backoff on (observer -> peer). Returns true when
-  /// the pair was suspected AND still has a pending epoch — the caller
-  /// should re-arm a retransmit for it.
-  bool peer_alive(std::uint32_t observer, std::uint32_t peer);
+  /// Evidence that the pair's receiver is alive reached its sender outside
+  /// the ack path (typically: the sender received a data slice from it).
+  /// Clears suspicion and resets backoff on the pair. Returns true when the
+  /// pair was suspected AND still has a pending epoch — the caller should
+  /// re-arm a retransmit for it.
+  bool peer_alive(PairSlot pair);
 
-  [[nodiscard]] bool suspected(std::uint32_t src, std::uint32_t dst) const;
-  [[nodiscard]] Epoch pending_epoch(std::uint32_t src, std::uint32_t dst) const;
+  [[nodiscard]] Epoch pending_epoch(PairSlot pair) const { return pairs_[pair].pending; }
 
   /// Drop every pending epoch and reset backoff/suspicion, keeping the
   /// epoch counters (churn rebuilt the payload wiring; buffered slices
@@ -123,9 +134,14 @@ class ReliableExchange {
 
   /// Epoch filter: accept iff `epoch` exceeds the pair's high-water mark
   /// (then advances it). A rejection is counted in duplicates_rejected().
-  bool accept(std::uint32_t src, std::uint32_t dst, Epoch epoch);
+  bool accept(PairSlot pair, Epoch epoch);
 
   /// Receiver high-water mark — the value a cumulative ack carries.
+  [[nodiscard]] Epoch accepted_epoch(PairSlot pair) const { return pairs_[pair].accepted; }
+
+  // --- Cold queries by endpoints (hashed; a never-seen pair reads as 0) -----
+
+  [[nodiscard]] bool suspected(std::uint32_t src, std::uint32_t dst) const;
   [[nodiscard]] Epoch accepted_epoch(std::uint32_t src, std::uint32_t dst) const;
 
   // --- Counters ------------------------------------------------------------
@@ -156,6 +172,7 @@ class ReliableExchange {
     Epoch acked = 0;          // sender: cumulative ack high-water mark
     Epoch accepted = 0;       // receiver: accept high-water mark
     double rto = 0.0;         // current timeout (0 = rto_initial not applied)
+    std::uint32_t src = 0;    // sending endpoint, for reset_sender
     std::uint32_t attempts = 0;
     bool suspected = false;
   };
@@ -163,7 +180,6 @@ class ReliableExchange {
   static std::uint64_t key(std::uint32_t src, std::uint32_t dst) noexcept {
     return (static_cast<std::uint64_t>(src) << 32) | dst;
   }
-  PairState& state(std::uint32_t src, std::uint32_t dst);
   [[nodiscard]] const PairState* find(std::uint32_t src, std::uint32_t dst) const;
   void clear_suspicion(PairState& st);
   void reset_transient(PairState& st);
@@ -174,7 +190,11 @@ class ReliableExchange {
   // ThreadPool's fork-join workers must never be handed a reference.
   ReliableOptions opts_;
   util::Rng rng_ P2P_EXTERNALLY_SYNCHRONIZED;  // jitter draws advance state
-  std::unordered_map<std::uint64_t, PairState> pairs_ P2P_EXTERNALLY_SYNCHRONIZED;
+  /// Pair state by slot, in order of first sight (DESIGN.md §8).
+  std::vector<PairState> pairs_ P2P_EXTERNALLY_SYNCHRONIZED;
+  /// (src, dst) -> slot. Consulted only to assign slots and for the cold
+  /// endpoint queries; never iterated.
+  std::unordered_map<std::uint64_t, PairSlot> slot_of_ P2P_EXTERNALLY_SYNCHRONIZED;
   std::uint64_t duplicates_rejected_ P2P_EXTERNALLY_SYNCHRONIZED = 0;
   std::uint64_t zombie_retransmits_ P2P_EXTERNALLY_SYNCHRONIZED = 0;
   std::uint64_t suspicion_events_ P2P_EXTERNALLY_SYNCHRONIZED = 0;

@@ -16,6 +16,7 @@
 #include "graph/synthetic_web.hpp"
 #include "partition/partitioner.hpp"
 #include "test_support.hpp"
+#include "transport/reliable.hpp"
 #include "util/thread_pool.hpp"
 
 namespace p2prank::engine {
@@ -299,6 +300,147 @@ TEST_F(ReliableFixture, ChurnArgumentErrors) {
   sim.leave_group(3, 0);
   EXPECT_THROW(sim.leave_group(3, 0), std::invalid_argument);  // now empty
   EXPECT_THROW(sim.join_group(3, 3), std::invalid_argument);
+}
+
+// --- Pair-state continuity: slots outlive the wiring ---------------------
+//
+// The reliable layer keys its per-pair state by a stable slot, and the
+// engine caches each link's slot. Churn rebuilds the link ids; the pair's
+// epochs must carry over to the new wiring untouched.
+
+TEST_F(ReliableFixture, LeaveThenRejoinKeepsPairEpochsAndAcceptsTheFirstSlice) {
+  constexpr std::uint32_t kK = 4;
+  constexpr std::uint32_t kMover = 1;
+  const auto a = assignment(kK);
+  EngineOptions o;
+  o.algorithm = Algorithm::kDPR2;
+  o.alpha = kAlpha;
+  o.t1 = 1.0;
+  o.t2 = 1.0;
+  o.seed = 8;
+  o.reliability.retransmit = true;  // p = 1, no jitter: never a duplicate
+  DistributedRanking sim(*graph_, a, kK, o, pool());
+  sim.set_reference(*reference_);
+  (void)sim.run(10.0, 5.0);
+
+  std::vector<std::uint64_t> before(kK, 0);
+  for (std::uint32_t d = 0; d < kK; ++d) {
+    if (d == kMover) continue;
+    ASSERT_TRUE(sim.has_cut_edges(kMover, d)) << d;
+    before[d] = sim.accepted_epoch(kMover, d);
+    ASSERT_GT(before[d], 0u) << d;
+  }
+
+  // The mover departs: its pairs have no link in the new wiring.
+  sim.leave_group(kMover, 2);
+  for (std::uint32_t d = 0; d < kK; ++d) {
+    if (d == kMover) continue;
+    EXPECT_FALSE(sim.has_cut_edges(kMover, d)) << d;
+    EXPECT_EQ(sim.accepted_epoch(kMover, d), before[d]) << d;
+  }
+  (void)sim.run(15.0, 5.0);
+
+  // It rejoins with half of group 2's pages; some of its pairs come back.
+  sim.join_group(kMover, 2);
+  std::vector<std::uint32_t> back;
+  for (std::uint32_t d = 0; d < kK; ++d) {
+    if (d != kMover && sim.has_cut_edges(kMover, d)) back.push_back(d);
+  }
+  ASSERT_FALSE(back.empty());
+  ASSERT_EQ(sim.duplicates_rejected(), 0u);
+
+  // One loop step later every returning pair has accepted a fresh slice:
+  // the sender's epochs continued past the receiver's high-water mark
+  // instead of restarting below it.
+  (void)sim.run(20.0, 5.0);
+  EXPECT_EQ(sim.duplicates_rejected(), 0u);
+  for (const std::uint32_t d : back) {
+    EXPECT_GT(sim.accepted_epoch(kMover, d), before[d]) << "pair " << kMover << "->" << d;
+  }
+  for (std::uint32_t d = 0; d < kK; ++d) {
+    if (d == kMover) continue;
+    EXPECT_GE(sim.accepted_epoch(kMover, d), before[d]) << d;
+  }
+  EXPECT_EQ(sim.zombie_retransmits(), 0u);
+}
+
+TEST_F(ReliableFixture, CrashResetsOnlyTheCrashedSendersPairs) {
+  constexpr std::uint32_t kK = 4;
+  constexpr std::uint32_t kCrashed = 0;
+  const auto a = assignment(kK);
+  EngineOptions o;
+  o.algorithm = Algorithm::kDPR2;
+  o.alpha = kAlpha;
+  o.t1 = 1.0;
+  o.t2 = 1.0;
+  o.seed = 9;
+  o.reliability.retransmit = true;
+  o.reliability.ack_delivery_probability = 0.0;  // every sent link stays pending
+  DistributedRanking sim(*graph_, a, kK, o, pool());
+  sim.set_reference(*reference_);
+  (void)sim.run(5.0, 5.0);
+
+  std::uint64_t crashed_links = 0;
+  std::vector<std::uint64_t> epochs(kK, 0);
+  for (std::uint32_t d = 0; d < kK; ++d) {
+    if (d == kCrashed || !sim.has_cut_edges(kCrashed, d)) continue;
+    ++crashed_links;
+    epochs[d] = sim.accepted_epoch(kCrashed, d);
+  }
+  ASSERT_GT(crashed_links, 0u);
+  const std::uint64_t pending = sim.pending_retransmits();
+  ASSERT_GT(pending, crashed_links);  // other senders hold buffers too
+
+  sim.crash_group(kCrashed);
+  EXPECT_EQ(sim.pending_retransmits(), pending - crashed_links);
+
+  // The crashed sender's epochs are session state: once it sends again its
+  // slices are accepted above the old high-water marks.
+  (void)sim.run(10.0, 5.0);
+  for (std::uint32_t d = 0; d < kK; ++d) {
+    if (d != kCrashed && sim.has_cut_edges(kCrashed, d)) {
+      EXPECT_GT(sim.accepted_epoch(kCrashed, d), epochs[d]) << d;
+    }
+  }
+  EXPECT_EQ(sim.zombie_retransmits(), 0u);
+}
+
+TEST(ReliablePairs, ResetSenderResetsOnlyThatSendersSlots) {
+  transport::ReliableOptions ro;
+  ro.suspicion_after = 2;
+  transport::ReliableExchange rx(ro, 1);
+  const auto out1 = rx.pair_slot(0, 1);
+  const auto out2 = rx.pair_slot(0, 2);
+  const auto in1 = rx.pair_slot(1, 0);
+  const auto in2 = rx.pair_slot(2, 0);
+  EXPECT_EQ(rx.pair_slot(0, 1), out1);  // slots are stable
+  for (const auto slot : {out1, out2, in1, in2}) EXPECT_EQ(rx.begin_send(slot), 1u);
+  // Suspect one pair on each side of the crash.
+  for (const auto slot : {out1, in1}) {
+    EXPECT_EQ(rx.on_timer(slot, 1), transport::ReliableExchange::TimerVerdict::kRetransmit);
+    EXPECT_EQ(rx.on_timer(slot, 1), transport::ReliableExchange::TimerVerdict::kSuspectNow);
+  }
+  EXPECT_TRUE(rx.accept(out1, 1));
+  ASSERT_EQ(rx.suspected_pairs(), 2u);
+  ASSERT_EQ(rx.pending_pairs(), 4u);
+
+  rx.reset_sender(0);
+  EXPECT_EQ(rx.pending_epoch(out1), 0u);
+  EXPECT_EQ(rx.pending_epoch(out2), 0u);
+  EXPECT_FALSE(rx.suspected(0, 1));
+  EXPECT_EQ(rx.pending_epoch(in1), 1u);
+  EXPECT_EQ(rx.pending_epoch(in2), 1u);
+  EXPECT_TRUE(rx.suspected(1, 0));
+  EXPECT_EQ(rx.suspected_pairs(), 1u);
+  EXPECT_EQ(rx.pending_pairs(), 2u);
+  // Epochs survive the reset on both sides of the pair.
+  EXPECT_EQ(rx.accepted_epoch(0, 1), 1u);
+  EXPECT_EQ(rx.accepted_epoch(out1), 1u);
+  EXPECT_EQ(rx.begin_send(out1), 2u);
+  // A pair never seen reads as empty, without being assigned a slot.
+  EXPECT_EQ(rx.accepted_epoch(3, 0), 0u);
+  EXPECT_FALSE(rx.suspected(3, 0));
+  EXPECT_EQ(rx.pair_slot(3, 0), 4u);
 }
 
 // --- Failure detection: a silent peer gets suspected, acks recover it ---

@@ -64,8 +64,10 @@ TEST(ServeSnapshotStore, ReadersNeverObserveMixedEpochsUnderConcurrentPublish) {
   publish_uniform(store, 1.0, kPages, kShards);
 
   std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
   std::atomic<std::uint64_t> mixed{0};
   const auto reader = [&] {
+    started.fetch_add(1, std::memory_order_acq_rel);
     while (!stop.load(std::memory_order_acquire)) {
       const auto snap = store.acquire();
       if (snap == nullptr) continue;
@@ -84,6 +86,9 @@ TEST(ServeSnapshotStore, ReadersNeverObserveMixedEpochsUnderConcurrentPublish) {
     }
   };
   std::thread r1(reader), r2(reader), r3(reader);
+  // Publish only once every reader is running, so the readers overlap the
+  // publish loop however late their threads are scheduled.
+  while (started.load(std::memory_order_acquire) < 3) std::this_thread::yield();
   for (int i = 2; i < kPublishes; ++i) {
     publish_uniform(store, static_cast<double>(i), kPages, kShards);
   }

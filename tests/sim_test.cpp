@@ -1,71 +1,78 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/processes.hpp"
+#include "util/rng.hpp"
 
 namespace p2prank::sim {
 namespace {
 
+// Test events are plain ints; each test's dispatcher says what they do.
+using Queue = EventQueue<int>;
+
 TEST(EventQueue, StartsAtTimeZeroEmpty) {
-  EventQueue q;
+  Queue q;
   EXPECT_EQ(q.now(), 0.0);
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.step());
+  EXPECT_FALSE(q.step([](int) {}));
 }
 
 TEST(EventQueue, ExecutesInTimeOrder) {
-  EventQueue q;
+  Queue q;
   std::vector<int> order;
-  q.schedule_at(3.0, [&] { order.push_back(3); });
-  q.schedule_at(1.0, [&] { order.push_back(1); });
-  q.schedule_at(2.0, [&] { order.push_back(2); });
-  q.run();
+  q.schedule_at(3.0, 3);
+  q.schedule_at(1.0, 1);
+  q.schedule_at(2.0, 2);
+  q.run([&](int ev) { order.push_back(ev); });
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(q.now(), 3.0);
 }
 
 TEST(EventQueue, FifoAmongEqualTimestamps) {
-  EventQueue q;
+  Queue q;
   std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule_at(1.0, [&order, i] { order.push_back(i); });
-  }
-  q.run();
+  for (int i = 0; i < 10; ++i) q.schedule_at(1.0, i);
+  q.run([&](int ev) { order.push_back(ev); });
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(EventQueue, RejectsPastAndNegative) {
-  EventQueue q;
-  q.schedule_at(5.0, [] {});
-  q.step();
-  EXPECT_THROW(q.schedule_at(4.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(q.schedule_in(-1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(q.schedule_at(6.0, EventQueue::Handler{}), std::invalid_argument);
+  Queue q;
+  q.schedule_at(5.0, 0);
+  q.step([](int) {});
+  EXPECT_THROW(q.schedule_at(4.0, 0), std::invalid_argument);
+  EXPECT_THROW(q.schedule_in(-1.0, 0), std::invalid_argument);
+  // A NaN time compares false against everything; it must not slip past
+  // the ordering checks into the heap.
+  EXPECT_THROW(q.schedule_at(std::nan(""), 0), std::invalid_argument);
+  EXPECT_THROW(q.schedule_in(std::nan(""), 0), std::invalid_argument);
 }
 
 TEST(EventQueue, HandlersMayScheduleMoreEvents) {
-  EventQueue q;
+  Queue q;
   int fired = 0;
   // A self-perpetuating chain of 5 events.
-  std::function<void()> chain = [&] {
+  const auto chain = [&](int) {
     ++fired;
-    if (fired < 5) q.schedule_in(1.0, chain);
+    if (fired < 5) q.schedule_in(1.0, 0);
   };
-  q.schedule_at(1.0, chain);
-  q.run();
+  q.schedule_at(1.0, 0);
+  q.run(chain);
   EXPECT_EQ(fired, 5);
   EXPECT_EQ(q.now(), 5.0);
 }
 
 TEST(EventQueue, RunUntilStopsAtBoundaryInclusive) {
-  EventQueue q;
+  Queue q;
   int fired = 0;
-  q.schedule_at(1.0, [&] { ++fired; });
-  q.schedule_at(2.0, [&] { ++fired; });
-  q.schedule_at(2.5, [&] { ++fired; });
-  const auto executed = q.run_until(2.0);
+  q.schedule_at(1.0, 0);
+  q.schedule_at(2.0, 0);
+  q.schedule_at(2.5, 0);
+  const auto executed = q.run_until(2.0, [&](int) { ++fired; });
   EXPECT_EQ(executed, 2u);
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(q.now(), 2.0);
@@ -73,32 +80,69 @@ TEST(EventQueue, RunUntilStopsAtBoundaryInclusive) {
 }
 
 TEST(EventQueue, RunUntilAdvancesTimeEvenWhenIdle) {
-  EventQueue q;
-  q.run_until(42.0);
+  Queue q;
+  q.run_until(42.0, [](int) {});
   EXPECT_EQ(q.now(), 42.0);
 }
 
 TEST(EventQueue, RunUntilExecutesCascadedEventsWithinWindow) {
-  EventQueue q;
+  Queue q;
   int fired = 0;
-  q.schedule_at(1.0, [&] {
+  constexpr int kSpawn = 1;  // fires, then schedules two leaf events
+  constexpr int kLeaf = 0;
+  q.schedule_at(1.0, kSpawn);
+  q.run_until(5.0, [&](int ev) {
     ++fired;
-    q.schedule_in(0.5, [&] { ++fired; });   // at 1.5, inside window
-    q.schedule_in(10.0, [&] { ++fired; });  // at 11, outside
+    if (ev == kSpawn) {
+      q.schedule_in(0.5, kLeaf);   // at 1.5, inside window
+      q.schedule_in(10.0, kLeaf);  // at 11, outside
+    }
   });
-  q.run_until(5.0);
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(q.pending(), 1u);
 }
 
 TEST(EventQueue, RunRespectsMaxEvents) {
-  EventQueue q;
+  Queue q;
   int fired = 0;
-  for (int i = 0; i < 10; ++i) q.schedule_at(i + 1.0, [&] { ++fired; });
-  const auto executed = q.run(4);
+  for (int i = 0; i < 10; ++i) q.schedule_at(i + 1.0, i);
+  const auto executed = q.run([&](int) { ++fired; }, 4);
   EXPECT_EQ(executed, 4u);
   EXPECT_EQ(fired, 4);
   EXPECT_EQ(q.pending(), 6u);
+}
+
+TEST(EventQueue, PopOrderIsTimeThenScheduleOrderWhileHandlersSchedule) {
+  // Many equal timestamps, and handlers that schedule more (some at the
+  // current time): every event fires once, in (time, schedule order).
+  Queue q;
+  std::vector<SimTime> at;  // by schedule index
+  const auto schedule = [&](SimTime t) {
+    q.schedule_at(t, static_cast<int>(at.size()));
+    at.push_back(t);
+  };
+  util::Rng rng(5);
+  for (int i = 0; i < 200; ++i) schedule(static_cast<SimTime>(rng.below(20)));
+  std::vector<int> fired;
+  q.run([&](int ev) {
+    fired.push_back(ev);
+    if (at.size() < 2000) {
+      schedule(q.now() + static_cast<SimTime>(rng.below(3)));
+      if (rng.chance(0.5)) schedule(q.now() + static_cast<SimTime>(rng.below(3)));
+    }
+  });
+  ASSERT_EQ(fired.size(), at.size());
+  std::vector<char> seen(at.size(), 0);
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    const auto ev = static_cast<std::size_t>(fired[i]);
+    EXPECT_EQ(seen[ev], 0) << "event " << ev << " fired twice";
+    seen[ev] = 1;
+    if (i > 0) {
+      const auto prev = static_cast<std::size_t>(fired[i - 1]);
+      EXPECT_TRUE(at[prev] < at[ev] || (at[prev] == at[ev] && prev < ev))
+          << "pop " << i << ": event " << ev << " after " << prev;
+    }
+  }
 }
 
 TEST(WaitProcess, RejectsBadInterval) {

@@ -127,6 +127,80 @@ TEST(Frame, PayloadShapeRejectedEvenWithValidChecksum) {
             FrameVerdict::kBadIndexOrder);
 }
 
+void expect_same_frame(const DecodedFrame& a, const DecodedFrame& b) {
+  EXPECT_EQ(a.header.src, b.header.src);
+  EXPECT_EQ(a.header.dst, b.header.dst);
+  EXPECT_EQ(a.header.epoch, b.header.epoch);
+  EXPECT_EQ(a.header.record_count, b.header.record_count);
+  ASSERT_EQ(a.entries.size(), b.entries.size());
+  for (std::size_t i = 0; i < a.entries.size(); ++i) {
+    EXPECT_EQ(a.entries[i].first, b.entries[i].first) << i;
+    EXPECT_EQ(std::memcmp(&a.entries[i].second, &b.entries[i].second, sizeof(double)), 0)
+        << i;
+  }
+}
+
+TEST(Frame, BufferEncodeMatchesValueEncodeAndReusesCapacity) {
+  Entries many;
+  for (std::uint32_t i = 0; i < 64; ++i) many.emplace_back(3 * i, 0.5 + i);
+  std::vector<std::uint8_t> buffer;
+  encode_frame(kHeader, many, buffer);
+  EXPECT_EQ(buffer, encode_frame(kHeader, many));
+  // A smaller frame into the same buffer replaces its bytes in place.
+  const std::uint8_t* const storage = buffer.data();
+  encode_frame(kHeader, kEntries, buffer);
+  EXPECT_EQ(buffer, encode_frame(kHeader, kEntries));
+  EXPECT_EQ(buffer.data(), storage);
+}
+
+TEST(Frame, ReusedDecodeEqualsFreshDecode) {
+  Entries many;
+  for (std::uint32_t i = 0; i < 64; ++i) many.emplace_back(2 * i + 1, 0.25 * i);
+  const FrameHeader big_header = {7, 9, 1000, 64};
+  DecodedFrame reused;
+  ASSERT_EQ(decode_frame(encode_frame(big_header, many), reused), FrameVerdict::kOk);
+  const std::pair<std::uint32_t, double>* const storage = reused.entries.data();
+
+  const auto bytes = encode_frame(kHeader, kEntries);
+  ASSERT_EQ(decode_frame(bytes, reused), FrameVerdict::kOk);
+  DecodedFrame fresh;
+  ASSERT_EQ(decode_frame(bytes, fresh), FrameVerdict::kOk);
+  expect_same_frame(reused, fresh);
+  // The smaller frame fit the earlier entries' storage: nothing was freed
+  // or allocated.
+  EXPECT_EQ(reused.entries.data(), storage);
+}
+
+TEST(Frame, QuarantinedFrameLeavesEarlierOutIntact) {
+  DecodedFrame out;
+  ASSERT_EQ(decode_frame(encode_frame(kHeader, kEntries), out), FrameVerdict::kOk);
+  const DecodedFrame earlier = out;
+
+  // Checksum-valid frames whose payload goes bad only after several good
+  // entries: a decoder that wrote as it parsed would leave a torn `out`.
+  Entries bad_score(kEntries.begin(), kEntries.end());
+  bad_score.emplace_back(200, -1.0);
+  const FrameHeader other = {8, 1, 77, 5};
+  EXPECT_EQ(decode_frame(encode_frame(other, bad_score), out), FrameVerdict::kBadScore);
+  expect_same_frame(out, earlier);
+
+  Entries bad_order(kEntries.begin(), kEntries.end());
+  bad_order.emplace_back(90, 1.0);  // repeats the last index
+  EXPECT_EQ(decode_frame(encode_frame(other, bad_order), out),
+            FrameVerdict::kBadIndexOrder);
+  expect_same_frame(out, earlier);
+
+  // And the header-level rejections.
+  auto flipped = encode_frame(other, kEntries);
+  flipped[flipped.size() / 2] ^= 0x10;
+  EXPECT_NE(decode_frame(flipped, out), FrameVerdict::kOk);
+  expect_same_frame(out, earlier);
+  const auto truncated = encode_frame(other, kEntries);
+  EXPECT_NE(decode_frame(std::span<const std::uint8_t>(truncated).first(10), out),
+            FrameVerdict::kOk);
+  expect_same_frame(out, earlier);
+}
+
 TEST(Frame, EntriesValidMatchesDecodeRules) {
   EXPECT_TRUE(entries_valid(std::span<const std::pair<std::uint32_t, double>>(
       kEntries.data(), kEntries.size())));
