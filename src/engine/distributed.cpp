@@ -637,22 +637,6 @@ void DistributedRanking::fire(const Event& ev) {
   }
 }
 
-void DistributedRanking::Inbox::push(std::uint32_t link, const YSlice& slice) {
-  if (slice.sparse) {
-    messages.push_back({link, true, entries.size(), slice.entries.size()});
-    entries.insert(entries.end(), slice.entries.begin(), slice.entries.end());
-  } else {
-    messages.push_back({link, false, values.size(), slice.values.size()});
-    values.insert(values.end(), slice.values.begin(), slice.values.end());
-  }
-}
-
-void DistributedRanking::Inbox::clear() noexcept {
-  messages.clear();
-  values.clear();
-  entries.clear();
-}
-
 std::uint32_t DistributedRanking::hold(const YSlice& slice) {
   std::uint32_t index = free_slice_;
   if (index != kNone) {
@@ -703,7 +687,13 @@ void DistributedRanking::inject_slice(std::uint32_t src, std::uint32_t dst,
   if (link == LinkTable::kNoLink) {
     throw std::invalid_argument("DistributedRanking::inject_slice: no link src -> dst");
   }
-  inbox_[dst].push(link, slice);
+  enqueue(link, slice);
+}
+
+void DistributedRanking::enqueue(std::uint32_t link, const YSlice& slice) {
+  // Addressed by the receiver's slots from here on: the step that drains
+  // the inbox never looks the link up again.
+  inbox_[links_.dst(link)].push(links_.recv_first(link), links_.slot_count(link), slice);
 }
 
 void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t link,
@@ -832,7 +822,7 @@ void DistributedRanking::arrive(std::uint32_t src, std::uint32_t link,
   const YSlice* const arrived = frame_survives(src, dst, 0, link, slice);
   if (arrived == nullptr) return;
   if (obs_.deliveries != nullptr) ++*obs_.deliveries;
-  inbox_[dst].push(link, *arrived);
+  enqueue(link, *arrived);
 }
 
 void DistributedRanking::deliver(std::uint32_t src, std::uint32_t link,
@@ -864,7 +854,7 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t link,
   const bool fresh = reliable_->accept(lp.slot, epoch);
   if (fresh) {
     if (obs_.deliveries != nullptr) ++*obs_.deliveries;
-    inbox_[dst].push(link, *arrived);
+    enqueue(link, *arrived);
   } else if (obs_.duplicates_rejected != nullptr) {
     ++*obs_.duplicates_rejected;
   }
@@ -1060,18 +1050,13 @@ void DistributedRanking::run_step(std::uint32_t group) {
   // the convergence invariant must catch it.)
   Inbox& inbox = inbox_[group];
   if (group != opts_.fault_skip_refresh_group) {
-    const std::span<const double> values = inbox.values;
-    const std::span<const std::pair<std::uint32_t, double>> entries = inbox.entries;
-    for (const Inbox::Message& msg : inbox.messages) {
-      // Poisoned-slice guard (defense in depth behind the frame codec):
-      // refresh_x refuses a payload of the wrong length, with slots outside
-      // the link or out of order, or with NaN/Inf/negative values — it
-      // would otherwise propagate through every subsequent sweep.
-      const bool applied =
-          msg.sparse ? pg.refresh_x(msg.link, entries.subspan(msg.begin, msg.size))
-                     : pg.refresh_x(msg.link, values.subspan(msg.begin, msg.size));
-      if (!applied) ++slices_rejected_;
-    }
+    // Poisoned-slice guard (defense in depth behind the frame codec):
+    // refresh_slots refuses a payload of the wrong length, with slots
+    // outside the link or out of order, or with NaN/Inf/negative values —
+    // it would otherwise propagate through every subsequent sweep.
+    inbox.for_each([&](const Inbox::Message& msg) {
+      if (!pg.refresh_slots(msg)) ++slices_rejected_;
+    });
   }
   inbox.clear();
 
@@ -1184,15 +1169,20 @@ void DistributedRanking::set_reference(std::vector<double> reference) {
     throw std::invalid_argument("DistributedRanking: reference size mismatch");
   }
   reference_ = std::move(reference);
+  reference_l1_ = util::l1_norm(reference_);
+}
+
+void DistributedRanking::scatter_ranks(std::span<double> out) const {
+  for (const auto& grp : groups_) {
+    const auto members = grp->members();
+    const auto local = grp->ranks();
+    for (std::size_t i = 0; i < members.size(); ++i) out[members[i]] = local[i];
+  }
 }
 
 std::vector<double> DistributedRanking::global_ranks() const {
   std::vector<double> ranks(graph_.num_pages(), 0.0);
-  for (const auto& grp : groups_) {
-    const auto members = grp->members();
-    const auto local = grp->ranks();
-    for (std::size_t i = 0; i < members.size(); ++i) ranks[members[i]] = local[i];
-  }
+  scatter_ranks(ranks);
   return ranks;
 }
 
@@ -1200,7 +1190,12 @@ double DistributedRanking::relative_error_now() const {
   if (reference_.empty()) {
     throw std::logic_error("DistributedRanking: reference not set");
   }
-  return util::relative_error(global_ranks(), reference_);
+  // util::relative_error(global_ranks(), reference_), bit for bit, without
+  // a fresh vector or a fresh ‖R*‖₁ per check. Every page has exactly one
+  // owner, so the scatter overwrites the whole vector.
+  error_ranks_.resize(graph_.num_pages());
+  scatter_ranks(error_ranks_);
+  return util::relative_error(error_ranks_, reference_, reference_l1_);
 }
 
 std::vector<std::uint64_t> DistributedRanking::outer_steps_per_group() const {

@@ -365,22 +365,6 @@ class DistributedRanking {
   }
 
  private:
-  /// Slices delivered to a group since its last step, stored inline in
-  /// arrival order so the step streams through them.
-  struct Inbox {
-    struct Message {
-      std::uint32_t link = 0;
-      bool sparse = false;
-      std::size_t begin = 0;  ///< first value (full) or entry (sparse)
-      std::size_t size = 0;
-    };
-    std::vector<Message> messages;
-    std::vector<double> values;
-    std::vector<std::pair<std::uint32_t, double>> entries;
-
-    void push(std::uint32_t link, const YSlice& slice);
-    void clear() noexcept;
-  };
   /// A pooled slice buffer. `refs` counts its holders: in-flight delivery
   /// events and the link's retransmit buffer.
   struct SliceBuf {
@@ -458,6 +442,10 @@ class DistributedRanking {
   void schedule_retransmit(std::uint32_t src, std::uint32_t link, transport::Epoch epoch);
   void on_retransmit_timer(std::uint32_t src, std::uint32_t link, transport::Epoch epoch);
   void apply_churn(std::span<const std::uint32_t> assignment);
+  /// Write every group's ranks into `out` (one entry per page).
+  void scatter_ranks(std::span<double> out) const;
+  /// Queue `slice`, received on `link`, in its receiver's inbox.
+  void enqueue(std::uint32_t link, const YSlice& slice);
   /// Corruption round-trip at delivery: encode the slice as a wire frame,
   /// let the fault plane maybe flip bytes, decode + validate. Returns the
   /// slice to deliver — `slice` itself, or what a corrupted frame that
@@ -511,6 +499,9 @@ class DistributedRanking {
   /// wiring (or a rolled-back timeline) and are dropped.
   std::uint64_t generation_ = 0;
   std::vector<double> reference_;
+  double reference_l1_ = 0.0;  ///< ‖R*‖₁, the relative error's denominator
+  /// relative_error_now's global rank vector, reused across checks.
+  mutable std::vector<double> error_ranks_;
   std::vector<double> prev_sample_ranks_;
   std::vector<char> paused_;
   /// Whether a loop-step event is pending for the group (prevents double

@@ -1,6 +1,7 @@
 #include "engine/page_group.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -8,7 +9,6 @@
 #include <stdexcept>
 
 #include "rank/open_system.hpp"
-#include "transport/frame.hpp"
 
 namespace p2prank::engine {
 
@@ -16,18 +16,32 @@ namespace {
 
 constexpr double kNever = std::numeric_limits<double>::quiet_NaN();
 
-bool values_fit(std::size_t slots, std::span<const double> values) noexcept {
+double value_of(std::uint64_t word) noexcept { return std::bit_cast<double>(word); }
+
+/// Finite and non-negative (NaN fails both comparisons).
+bool value_fits(std::uint64_t word) noexcept {
+  const double v = value_of(word);
+  return v >= 0.0 && v <= std::numeric_limits<double>::max();
+}
+
+/// A full payload: one acceptable value per slot.
+bool values_fit(std::size_t slots, std::span<const std::uint64_t> values) noexcept {
   if (values.size() != slots) return false;
-  for (const double v : values) {
-    if (!(v >= 0.0 && v <= std::numeric_limits<double>::max())) return false;
+  for (const std::uint64_t v : values) {
+    if (!value_fits(v)) return false;
   }
   return true;
 }
 
-bool entries_fit(std::size_t slots,
-                 std::span<const std::pair<std::uint32_t, double>> entries) noexcept {
-  return transport::entries_valid(entries) &&
-         (entries.empty() || entries.back().first < slots);
+/// A sparse payload: (slot, value) pairs with strictly ascending slots
+/// below `slots` and acceptable values.
+bool entries_fit(std::size_t slots, std::span<const std::uint64_t> pairs) noexcept {
+  std::uint64_t next = 0;  // lowest slot the next entry may name
+  for (std::size_t i = 0; i < pairs.size(); i += 2) {
+    if (pairs[i] < next || pairs[i] >= slots || !value_fits(pairs[i + 1])) return false;
+    next = pairs[i] + 1;
+  }
+  return true;
 }
 
 }  // namespace
@@ -100,29 +114,27 @@ void LinkTable::link_edges(std::span<const std::size_t> bucket,
     }
   }
   out_begin_[k] = static_cast<std::uint32_t>(link_dst_.size());
+  if (pages.size() > UINT32_MAX) {
+    throw std::length_error("LinkTable: 2^32 or more slots");
+  }
   last_sent_.assign(pages.size(), kNever);
 
-  // Receiver side: positions grouped by destination, ascending link id (=
-  // ascending source) within a destination; slots copied into place.
+  // Receiver side: slots grouped by destination, ascending link id (=
+  // ascending source) within a destination. Each link records where its
+  // slots start, and its pages are copied into place.
   const std::uint32_t num_links = this->num_links();
-  in_begin_.assign(k + 1, 0);
-  for (const std::uint32_t d : link_dst_) ++in_begin_[d + 1];
-  for (std::uint32_t g = 0; g < k; ++g) in_begin_[g + 1] += in_begin_[g];
-  link_recv_.resize(num_links);
-  std::vector<std::uint32_t> cursor(in_begin_.begin(), in_begin_.end() - 1);
-  std::vector<std::uint32_t> recv_link(num_links);
+  recv_begin_.assign(k + 1, 0);
+  for (std::uint32_t l = 0; l < num_links; ++l) recv_begin_[link_dst_[l] + 1] += slot_count(l);
+  for (std::uint32_t g = 0; g < k; ++g) recv_begin_[g + 1] += recv_begin_[g];
+  std::vector<std::uint32_t> cursor(recv_begin_.begin(), recv_begin_.end() - 1);
+  recv_first_.resize(num_links);
+  slot_page_.resize(pages.size());
   for (std::uint32_t l = 0; l < num_links; ++l) {
-    link_recv_[l] = cursor[link_dst_[l]]++;
-    recv_link[link_recv_[l]] = l;
-  }
-  recv_slot_begin_.assign(1, 0);
-  recv_slot_begin_.reserve(num_links + 1);
-  slot_page_.reserve(pages.size());
-  for (const std::uint32_t l : recv_link) {
-    slot_page_.insert(slot_page_.end(),
-                      pages.begin() + static_cast<std::ptrdiff_t>(slot_begin_[l]),
-                      pages.begin() + static_cast<std::ptrdiff_t>(slot_begin_[l + 1]));
-    recv_slot_begin_.push_back(slot_page_.size());
+    recv_first_[l] = cursor[link_dst_[l]];
+    cursor[link_dst_[l]] += slot_count(l);
+    std::copy(pages.begin() + static_cast<std::ptrdiff_t>(slot_begin_[l]),
+              pages.begin() + static_cast<std::ptrdiff_t>(slot_begin_[l + 1]),
+              slot_page_.begin() + recv_first_[l]);
   }
   received_.assign(slot_page_.size(), kNever);
 }
@@ -135,9 +147,8 @@ std::uint32_t LinkTable::find(std::uint32_t src, std::uint32_t dst) const noexce
 }
 
 std::uint32_t LinkTable::slot_of(std::uint32_t link, std::uint32_t page) const noexcept {
-  const std::uint32_t r = link_recv_[link];
-  const auto first = slot_page_.begin() + static_cast<std::ptrdiff_t>(recv_slot_begin_[r]);
-  const auto last = slot_page_.begin() + static_cast<std::ptrdiff_t>(recv_slot_begin_[r + 1]);
+  const auto first = slot_page_.begin() + recv_first_[link];
+  const auto last = first + slot_count(link);
   const auto it = std::lower_bound(first, last, page);
   if (it != last && *it == page) return static_cast<std::uint32_t>(it - first);
   return static_cast<std::uint32_t>(last - first);
@@ -190,8 +201,7 @@ void PageGroup::reset_state() {
     std::fill(v.begin() + static_cast<std::ptrdiff_t>(lo),
               v.begin() + static_cast<std::ptrdiff_t>(hi), kNever);
   };
-  fill_never(t.received_, t.recv_slot_begin_[t.in_begin_[self_]],
-             t.recv_slot_begin_[t.in_begin_[self_ + 1]]);
+  fill_never(t.received_, t.recv_begin(self_), t.recv_end(self_));
   fill_never(t.last_sent_, t.slot_begin_[t.out_begin_[self_]],
              t.slot_begin_[t.out_begin_[self_ + 1]]);
 }
@@ -208,18 +218,7 @@ std::span<const std::uint32_t> PageGroup::efferent_destinations() const noexcept
 }
 
 bool PageGroup::receives(std::uint32_t link) const noexcept {
-  // Receiver positions are grouped by destination, so this reads one
-  // per-link word instead of the sender-ordered destination as well.
-  if (links_ == nullptr || link >= links_->num_links()) return false;
-  const std::uint32_t r = links_->link_recv_[link];
-  return r >= links_->in_begin_[self_] && r < links_->in_begin_[self_ + 1];
-}
-
-std::pair<std::size_t, std::size_t> PageGroup::received_slots(
-    std::uint32_t link) const noexcept {
-  const std::uint32_t r = links_->link_recv_[link];
-  const std::size_t first = links_->recv_slot_begin_[r];
-  return {first, links_->recv_slot_begin_[r + 1] - first};
+  return links_ != nullptr && link < links_->num_links() && links_->dst(link) == self_;
 }
 
 void PageGroup::apply_slot(std::size_t at, double value) {
@@ -237,21 +236,46 @@ void PageGroup::apply_slot(std::size_t at, double value) {
   if (worklist_enabled_ && delta != 0.0) wl_state_.mark_forcing_dirty(local);
 }
 
+bool PageGroup::refresh_slots(const Inbox::Message& msg) {
+  // The guard (DESIGN.md §15 item 7): nothing is touched unless the whole
+  // message fits.
+  if (links_ == nullptr || msg.first < links_->recv_begin(self_) ||
+      std::uint64_t{msg.first} + msg.slots > links_->recv_end(self_)) {
+    return false;
+  }
+  const std::span<const std::uint64_t> p = msg.payload;
+  if (msg.sparse) {
+    if (!entries_fit(msg.slots, p)) return false;
+    for (std::size_t i = 0; i < p.size(); i += 2) {
+      apply_slot(msg.first + p[i], value_of(p[i + 1]));
+    }
+  } else {
+    if (!values_fit(msg.slots, p)) return false;
+    for (std::size_t slot = 0; slot < p.size(); ++slot) {
+      apply_slot(msg.first + slot, value_of(p[slot]));
+    }
+  }
+  return true;
+}
+
+bool PageGroup::refresh_wrapped() {
+  bool applied = false;
+  wrapped_.for_each([&](const Inbox::Message& msg) { applied = refresh_slots(msg); });
+  wrapped_.clear();
+  return applied;
+}
+
 bool PageGroup::refresh_x(std::uint32_t link, std::span<const double> values) {
   if (!receives(link)) return false;
-  const auto [first, slots] = received_slots(link);
-  if (!values_fit(slots, values)) return false;
-  for (std::size_t slot = 0; slot < slots; ++slot) apply_slot(first + slot, values[slot]);
-  return true;
+  wrapped_.push(links_->recv_first(link), links_->slot_count(link), values);
+  return refresh_wrapped();
 }
 
 bool PageGroup::refresh_x(std::uint32_t link,
                           std::span<const std::pair<std::uint32_t, double>> entries) {
   if (!receives(link)) return false;
-  const auto [first, slots] = received_slots(link);
-  if (!entries_fit(slots, entries)) return false;
-  for (const auto& [slot, value] : entries) apply_slot(first + slot, value);
-  return true;
+  wrapped_.push(links_->recv_first(link), links_->slot_count(link), entries);
+  return refresh_wrapped();
 }
 
 void PageGroup::scale_received(std::uint32_t source_group, double factor) {
@@ -261,9 +285,9 @@ void PageGroup::scale_received(std::uint32_t source_group, double factor) {
   if (links_ == nullptr || source_group >= links_->num_groups()) return;
   const std::uint32_t link = links_->find(source_group, self_);
   if (link == LinkTable::kNoLink) return;  // that peer sends us nothing
-  const auto [first, slots] = received_slots(link);
+  const std::size_t first = links_->recv_first(link);
   // Slots of one link name distinct pages, so the updates commute bitwise.
-  for (std::size_t at = first; at < first + slots; ++at) {
+  for (std::size_t at = first; at < first + links_->slot_count(link); ++at) {
     double& value = links_->received_[at];
     if (std::isnan(value)) continue;  // never heard on this slot
     const std::uint32_t local = links_->slot_page_[at];
@@ -338,8 +362,7 @@ bool PageGroup::install_worklist_carry(
 void PageGroup::mark_all_received_dirty() {
   if (!worklist_enabled_ || links_ == nullptr) return;
   const LinkTable& t = *links_;
-  for (std::size_t at = t.recv_slot_begin_[t.in_begin_[self_]];
-       at < t.recv_slot_begin_[t.in_begin_[self_ + 1]]; ++at) {
+  for (std::size_t at = t.recv_begin(self_); at < t.recv_end(self_); ++at) {
     if (!std::isnan(t.received_[at])) wl_state_.mark_forcing_dirty(t.slot_page_[at]);
   }
 }
@@ -369,13 +392,18 @@ std::size_t PageGroup::solve_to_convergence(double epsilon,
     }
     return iterations;
   }
-  rank::SolveOptions opts;
-  opts.alpha = matrix_.alpha();
-  opts.epsilon = epsilon;
-  opts.max_iterations = max_iterations;
-  auto result = rank::solve_open_system(matrix_, forcing_, ranks_, opts, pool);
-  ranks_ = std::move(result.ranks);
-  return result.iterations;
+  // Dense: solve_open_system's loop, run in place on the same pair so a
+  // loop step allocates nothing.
+  std::size_t iterations = 0;
+  for (std::size_t it = 0; it < max_iterations; ++it) {
+    const double delta =
+        rank::open_system_sweep(matrix_, ranks_, scratch_, forcing_, sweep_scratch_, pool)
+            .l1_delta;
+    std::swap(ranks_, scratch_);
+    ++iterations;
+    if (delta <= epsilon) break;
+  }
+  return iterations;
 }
 
 void PageGroup::sweep_once(util::ThreadPool& pool) {
@@ -436,6 +464,38 @@ void PageGroup::commit_sent(std::uint32_t link, const YSlice& slice) {
     for (const auto& [slot, value] : slice.entries) last_sent[slot] = value;
   } else {
     std::copy(slice.values.begin(), slice.values.end(), last_sent);
+  }
+}
+
+std::uint64_t* Inbox::append(std::uint32_t first, std::uint32_t slots, bool sparse,
+                             std::size_t count, std::size_t payload) {
+  const std::size_t at = words_.size();
+  words_.resize(at + 2 + payload);
+  std::uint64_t* const header = words_.data() + at;
+  header[0] = first | (std::uint64_t{slots} << 32);
+  header[1] = count | (sparse ? kSparse : 0);
+  return header + 2;
+}
+
+void Inbox::push(std::uint32_t first, std::uint32_t slots, std::span<const double> values) {
+  std::uint64_t* out = append(first, slots, false, values.size(), values.size());
+  for (const double v : values) *out++ = std::bit_cast<std::uint64_t>(v);
+}
+
+void Inbox::push(std::uint32_t first, std::uint32_t slots,
+                 std::span<const std::pair<std::uint32_t, double>> entries) {
+  std::uint64_t* out = append(first, slots, true, entries.size(), 2 * entries.size());
+  for (const auto& [slot, value] : entries) {
+    *out++ = slot;
+    *out++ = std::bit_cast<std::uint64_t>(value);
+  }
+}
+
+void Inbox::push(std::uint32_t first, std::uint32_t slots, const YSlice& slice) {
+  if (slice.sparse) {
+    push(first, slots, slice.entries);
+  } else {
+    push(first, slots, slice.values);
   }
 }
 

@@ -47,8 +47,10 @@ struct YSlice {
 /// point at, ascending. The sender's Y values and the receiver's stored
 /// values share that slot index, so neither side maps page ids at exchange
 /// time. Sender state is laid out in link order, so a group's outgoing links
-/// are one contiguous stretch; receiver state is laid out in (destination,
-/// source) order, so a group's incoming slots are one contiguous stretch too.
+/// are one contiguous stretch. Receiver state is laid out in (destination,
+/// source) order, so a group's incoming slots are one contiguous range, and
+/// each link records, in link order, where its slots start in that layout:
+/// a delivered slice is queued already addressed by its receiver's slots.
 class LinkTable {
  public:
   static constexpr std::uint32_t kNoLink = UINT32_MAX;
@@ -62,6 +64,8 @@ class LinkTable {
   /// destination group, keeping wiring order inside a link; the edges of a
   /// link are then ordered by destination page with the same std::sort the
   /// per-block wiring used, so every Y sum keeps its summation order.
+  /// Throws std::length_error when the wiring has 2^32 slots or more
+  /// (receiver slots are addressed by 32-bit offsets).
   template <typename Walk>
   [[nodiscard]] static LinkTable build(std::uint32_t num_groups, Walk&& walk);
 
@@ -89,15 +93,28 @@ class LinkTable {
   [[nodiscard]] std::uint32_t dst(std::uint32_t link) const noexcept {
     return link_dst_[link];
   }
-  [[nodiscard]] std::size_t slot_count(std::uint32_t link) const noexcept {
-    return slot_begin_[link + 1] - slot_begin_[link];
+  [[nodiscard]] std::uint32_t slot_count(std::uint32_t link) const noexcept {
+    return static_cast<std::uint32_t>(slot_begin_[link + 1] - slot_begin_[link]);
   }
   [[nodiscard]] std::uint64_t edge_count(std::uint32_t link) const noexcept {
     return edge_begin_[link + 1] - edge_begin_[link];
   }
+  /// The link's slots are the receiver slots [recv_first(link),
+  /// recv_first(link) + slot_count(link)).
+  [[nodiscard]] std::uint32_t recv_first(std::uint32_t link) const noexcept {
+    return recv_first_[link];
+  }
+  /// Slots into `group` are the receiver slots [recv_begin(group),
+  /// recv_end(group)): its incoming links' slots, by ascending source.
+  [[nodiscard]] std::uint32_t recv_begin(std::uint32_t group) const noexcept {
+    return recv_begin_[group];
+  }
+  [[nodiscard]] std::uint32_t recv_end(std::uint32_t group) const noexcept {
+    return recv_begin_[group + 1];
+  }
   /// Destination-local page of a slot.
   [[nodiscard]] std::uint32_t slot_page(std::uint32_t link, std::size_t slot) const noexcept {
-    return slot_page_[recv_slot_begin_[link_recv_[link]] + slot];
+    return slot_page_[recv_first_[link] + slot];
   }
   /// Slot of a destination-local page, or slot_count(link) when the link
   /// has no edge into that page.
@@ -115,10 +132,10 @@ class LinkTable {
 
   // Sender side, in link order. Per group (k + 1): first outgoing link.
   std::vector<std::uint32_t> out_begin_;
-  // Per link: destination group, receiver-side position, first slot and
-  // first cut edge (both size num_links + 1).
+  // Per link: destination group and first receiver slot (size num_links),
+  // first sender slot and first cut edge (both size num_links + 1).
   std::vector<std::uint32_t> link_dst_;
-  std::vector<std::uint32_t> link_recv_;
+  std::vector<std::uint32_t> recv_first_;
   std::vector<std::size_t> slot_begin_;
   std::vector<std::size_t> edge_begin_;
   // Per slot: cut edges feeding it, and the last committed value (NaN =
@@ -129,15 +146,69 @@ class LinkTable {
   // α/d(u) is the sender matrix's source weight, so it is not stored again.
   std::vector<std::uint32_t> edge_src_;
 
-  // Receiver side, in (destination, source) order. Per group (k + 1):
-  // first incoming position; per position (num_links + 1): first slot.
-  std::vector<std::uint32_t> in_begin_;
-  std::vector<std::size_t> recv_slot_begin_;
-  // Per slot: destination-local page, and the latest received value (NaN =
-  // never received).
+  // Receiver side, in (destination, source) order. Per group (k + 1): first
+  // incoming slot. Per slot: destination-local page, and the latest
+  // received value (NaN = never received).
+  std::vector<std::uint32_t> recv_begin_;
   std::vector<std::uint32_t> slot_page_;
   std::vector<double> received_;
 };
+
+/// A group's inbox (DESIGN.md §15): the slices delivered since its last
+/// step, in arrival order, packed into one reused stream of 64-bit words.
+/// Each message is a two-word header, then its payload:
+///   word 0: first receiver slot (low 32 bits), slot count (high 32 bits);
+///   word 1: value count (low 63 bits), sparse flag (bit 63);
+///   payload: one word per value (full slice), or one (slot, value) word
+///   pair per entry (sparse slice).
+/// Values travel as their IEEE-754 bit patterns, so a slice round-trips
+/// bit for bit.
+class Inbox {
+ public:
+  /// One message as the stream stores it.
+  struct Message {
+    std::uint32_t first = 0;  ///< first receiver slot of the link
+    std::uint32_t slots = 0;  ///< slot count of the link
+    bool sparse = false;
+    /// Value words (full), or (slot, value) word pairs (sparse).
+    std::span<const std::uint64_t> payload;
+  };
+
+  /// Append a slice addressed to receiver slots [first, first + slots).
+  void push(std::uint32_t first, std::uint32_t slots, const YSlice& slice);
+  void push(std::uint32_t first, std::uint32_t slots, std::span<const double> values);
+  void push(std::uint32_t first, std::uint32_t slots,
+            std::span<const std::pair<std::uint32_t, double>> entries);
+
+  /// Call visit(const Message&) for every message, in arrival order.
+  template <typename Visit>
+  void for_each(Visit&& visit) const;
+
+  void clear() noexcept { words_.clear(); }
+
+ private:
+  static constexpr std::uint64_t kSparse = std::uint64_t{1} << 63;
+
+  /// Append a header and make room for `payload` words; returns the first.
+  std::uint64_t* append(std::uint32_t first, std::uint32_t slots, bool sparse,
+                        std::size_t count, std::size_t payload);
+
+  std::vector<std::uint64_t> words_;
+};
+
+template <typename Visit>
+void Inbox::for_each(Visit&& visit) const {
+  const std::uint64_t* at = words_.data();
+  const std::uint64_t* const end = at + words_.size();
+  while (at != end) {
+    const bool sparse = (at[1] & kSparse) != 0;
+    const std::size_t count = at[1] & ~kSparse;
+    const std::size_t size = sparse ? 2 * count : count;
+    visit(Message{static_cast<std::uint32_t>(at[0]), static_cast<std::uint32_t>(at[0] >> 32),
+                  sparse, {at + 2, size}});
+    at += 2 + size;
+  }
+}
 
 template <typename Walk>
 LinkTable LinkTable::build(std::uint32_t num_groups, Walk&& walk) {
@@ -196,15 +267,20 @@ class PageGroup {
   /// attach_links).
   [[nodiscard]] std::span<const std::uint32_t> efferent_destinations() const noexcept;
 
-  /// Apply a slice received on `link` (a link into this group), given as
-  /// the values of a full slice or the entries of a sparse one: each value
-  /// supersedes the stored value of its slot. This is the "Refresh X" of
-  /// Algorithms 3/4 (the engine drains the network inbox into this). Keeps
-  /// X = Σ_links latest-per-slot exact for full and sparse slices alike.
-  /// Returns false, touching nothing, unless the link ends at this group,
+  /// Apply one inbox message, addressed to the receiver slots
+  /// [msg.first, msg.first + msg.slots): each value supersedes the stored
+  /// value of its slot. This is the "Refresh X" of Algorithms 3/4 (the
+  /// engine streams the inbox through it). Keeps X = Σ_links
+  /// latest-per-slot exact for full and sparse slices alike. Returns false,
+  /// touching nothing, unless the slots lie in this group's incoming range,
   /// a full slice has exactly one value per slot, a sparse one names
-  /// strictly ascending slots of the link, and every value is finite and
-  /// non-negative.
+  /// strictly ascending slots below msg.slots, and every value is finite
+  /// and non-negative.
+  [[nodiscard]] bool refresh_slots(const Inbox::Message& msg);
+
+  /// refresh_slots for a slice received on `link`, given as the values of a
+  /// full slice or the entries of a sparse one. Also returns false unless
+  /// the link ends at this group.
   [[nodiscard]] bool refresh_x(std::uint32_t link, std::span<const double> values);
   [[nodiscard]] bool refresh_x(std::uint32_t link,
                                std::span<const std::pair<std::uint32_t, double>> entries);
@@ -300,10 +376,8 @@ class PageGroup {
  private:
   /// Whether `link` is a link into this group.
   [[nodiscard]] bool receives(std::uint32_t link) const noexcept;
-  /// First received slot of `link` (a link into this group) and its slot
-  /// count.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> received_slots(
-      std::uint32_t link) const noexcept;
+  /// refresh_slots on the one message in wrapped_ (refresh_x's path).
+  [[nodiscard]] bool refresh_wrapped();
   /// Supersede the stored value of received slot `at`.
   void apply_slot(std::size_t at, double value);
 
@@ -320,6 +394,7 @@ class PageGroup {
   rank::WorklistState wl_state_;        // frontier bitmaps, pinned to ranks_/scratch_
   double last_sweep_delta_ = 0.0;       // L1 residual of the last sweep_once
   LinkTable* links_ = nullptr;          // engine-owned; null until attached
+  Inbox wrapped_;                       // refresh_x's slice, as a message
   std::uint32_t self_ = 0;              // this group's id in links_
   std::uint64_t outer_steps_ = 0;
 };

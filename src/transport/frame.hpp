@@ -54,8 +54,9 @@ struct DecodedFrame {
 };
 
 /// True iff entries are strictly ascending by index with finite,
-/// non-negative scores — the shape refresh_x() assumes. Shared by the
-/// codec and the engine's poisoned-slice guard.
+/// non-negative scores — the shape the codec accepts, and the same rule
+/// the engine's poisoned-slice guard (PageGroup::refresh_slots) applies to
+/// sparse slices.
 [[nodiscard]] bool entries_valid(
     std::span<const std::pair<std::uint32_t, double>> entries) noexcept;
 

@@ -54,5 +54,9 @@ class OnlineStats {
 /// the centralized reference). Returns 0 when both are zero vectors.
 [[nodiscard]] double relative_error(std::span<const double> a,
                                     std::span<const double> b) noexcept;
+/// The same with ||b||_1 = l1_norm(b) computed by the caller (bitwise equal
+/// result), for a b that is measured against many times.
+[[nodiscard]] double relative_error(std::span<const double> a, std::span<const double> b,
+                                    double b_l1) noexcept;
 
 }  // namespace p2prank::util

@@ -231,5 +231,34 @@ TEST_F(DistributedFixture, GlobalRanksAssembleAllPages) {
   for (const double r : ranks) EXPECT_GT(r, 0.0);
 }
 
+TEST_F(DistributedFixture, RelativeErrorNowMatchesTheFreshComputationBitwise) {
+  // relative_error_now reuses one scatter buffer and a cached ‖R*‖₁; it must
+  // still equal the allocating formula bit for bit, also once crash and
+  // churn have reshaped the groups.
+  const auto a = assignment(8);
+  DistributedRanking sim(*graph_, a, 8, options(Algorithm::kDPR2, 0.9, 0.5, 1.5), pool());
+  sim.set_reference(*reference_);
+  const auto expect_fresh = [&](const char* when) {
+    EXPECT_EQ(sim.relative_error_now(), util::relative_error(sim.global_ranks(), *reference_))
+        << when;
+  };
+  expect_fresh("before any step");
+  (void)sim.run(6.0, 3.0);
+  expect_fresh("after steps");
+  sim.crash_group(2);
+  expect_fresh("after crash_group");
+  (void)sim.run(9.0, 3.0);
+  expect_fresh("after steps past the crash");
+  sim.leave_group(3, 4);
+  expect_fresh("after leave_group");
+  (void)sim.run(12.0, 3.0);
+  expect_fresh("after steps past the leave");
+  sim.join_group(3, 5);
+  expect_fresh("after join_group");
+  (void)sim.run(15.0, 3.0);
+  expect_fresh("after steps past the join");
+  EXPECT_EQ(sim.churn_events(), 2u);
+}
+
 }  // namespace
 }  // namespace p2prank::engine

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <numeric>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "engine/distributed.hpp"
 #include "engine/reference.hpp"
+#include "graph/graph_builder.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -223,6 +228,60 @@ TEST(LinkTable, SlotsAreTheSendersDistinctPagesAscending) {
   EXPECT_EQ(links.slot_of(link, 6), 3u);  // not a slot: one past the end
 }
 
+TEST(LinkTable, ReceiverSlotsTileEachDestinationsIncomingRange) {
+  // Random cut edges among 7 groups; group 6 receives nothing.
+  constexpr std::uint32_t kGroups = 7;
+  util::Rng rng(23);
+  std::vector<Cut> cuts;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::set<std::uint32_t>> pages;
+  for (int e = 0; e < 400; ++e) {
+    const auto src = static_cast<std::uint32_t>(rng.below(kGroups));
+    const auto dst = static_cast<std::uint32_t>(rng.below(kGroups - 1));
+    if (src == dst) continue;
+    const auto to = static_cast<std::uint32_t>(rng.below(12));
+    cuts.push_back({src, dst, static_cast<std::uint32_t>(rng.below(10)), to});
+    pages[{src, dst}].insert(to);
+  }
+  const auto links = table_of(kGroups, cuts);
+  ASSERT_EQ(links.num_links(), pages.size());
+
+  EXPECT_EQ(links.recv_begin(0), 0u);
+  std::size_t total = 0;
+  for (std::uint32_t d = 0; d < kGroups; ++d) {
+    // d's in-links, ascending link id = ascending source, tile its range.
+    std::uint32_t next = links.recv_begin(d);
+    std::uint32_t prev_src = 0;
+    bool any = false;
+    for (std::uint32_t src = 0; src < kGroups; ++src) {
+      const std::uint32_t link = links.find(src, d);
+      if (link == LinkTable::kNoLink) continue;
+      if (any) {
+        EXPECT_LT(prev_src, src);
+      }
+      prev_src = src;
+      any = true;
+      EXPECT_EQ(links.dst(link), d);
+      EXPECT_EQ(links.recv_first(link), next) << src << " -> " << d;
+      next = links.recv_first(link) + links.slot_count(link);
+      EXPECT_LE(next, links.recv_end(d));
+      // The range holds exactly the link's slots: its distinct pages.
+      const auto& expected = pages.at({src, d});
+      ASSERT_EQ(links.slot_count(link), expected.size());
+      std::uint32_t slot = 0;
+      for (const std::uint32_t page : expected) EXPECT_EQ(links.slot_page(link, slot++), page);
+    }
+    EXPECT_EQ(next, links.recv_end(d)) << "group " << d;
+    if (d + 1 < kGroups) {
+      EXPECT_EQ(links.recv_end(d), links.recv_begin(d + 1));
+    }
+    total += links.recv_end(d) - links.recv_begin(d);
+  }
+  EXPECT_EQ(links.recv_begin(kGroups - 1), links.recv_end(kGroups - 1));
+  std::size_t slots = 0;
+  for (const auto& [pair, set] : pages) slots += set.size();
+  EXPECT_EQ(total, slots);
+}
+
 TEST(LinkTable, EqualPagesKeepTheReplayedSortOrder) {
   // 40 senders (star leaves, each α/1) into 3 receiver pages, wired in a
   // shuffled order. Y sums each page's edges in the order std::sort leaves
@@ -364,6 +423,27 @@ TEST(PageGroupSlots, RefreshRejectsMisfitSlicesWithoutApplying) {
   rig.expect_x({0.1, 0.2, 0.3});
 }
 
+TEST(PageGroupSlots, RefreshSlotsRejectsSlotsOutsideTheIncomingRange) {
+  // The receiver (group 0) owns receiver slots [0, 3); slot 3 is group 1's.
+  SlotRig rig;
+  ASSERT_EQ(rig.links.recv_begin(0), 0u);
+  ASSERT_EQ(rig.links.recv_end(0), 3u);
+  const auto words = [](std::initializer_list<double> values) {
+    std::vector<std::uint64_t> out;
+    for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+    return out;
+  };
+  const auto one = words({0.5});
+  const auto three = words({0.1, 0.2, 0.3});
+  EXPECT_FALSE(rig.receiver.refresh_slots({.first = 3, .slots = 1, .payload = one}));
+  EXPECT_FALSE(rig.receiver.refresh_slots({.first = 1, .slots = 3, .payload = three}));
+  EXPECT_FALSE(rig.receiver.refresh_slots(
+      {.first = UINT32_MAX, .slots = 3, .payload = three}));  // wraps in 32 bits
+  rig.expect_x({0.0, 0.0, 0.0});
+  ASSERT_TRUE(rig.receiver.refresh_slots({.first = 0, .slots = 3, .payload = three}));
+  rig.expect_x({0.1, 0.2, 0.3});
+}
+
 // --- Engine-level poisoned-slice guard --------------------------------------
 
 TEST(EngineSliceGuard, MisfitSlicesAreCountedAndNeverApplied) {
@@ -390,6 +470,89 @@ TEST(EngineSliceGuard, MisfitSlicesAreCountedAndNeverApplied) {
   EXPECT_EQ(poisoned.slices_rejected(), 3u);
   EXPECT_EQ(clean.slices_rejected(), 0u);
   EXPECT_EQ(poisoned.global_ranks(), clean.global_ranks());
+}
+
+/// Group 0 = pages {0, 1}, group 1 = pages {2, 3, 4}, and one link 0 -> 1
+/// with three slots (pages 2, 3, 4). Group 1 has no internal links, so one
+/// step leaves R = β + X on it.
+graph::WebGraph three_slot_link() {
+  graph::GraphBuilder b;
+  std::vector<graph::PageId> p;
+  for (int i = 0; i < 5; ++i) p.push_back(b.add_page("s.edu/p" + std::to_string(i), "s.edu"));
+  b.add_link(p[0], p[2]);
+  b.add_link(p[0], p[3]);
+  b.add_link(p[1], p[4]);
+  b.add_link(p[1], p[0]);
+  return std::move(b).build();
+}
+
+TEST(EngineSliceGuard, OneInboxAppliesGoodSlicesInArrivalOrderAndCountsBadOnes) {
+  const auto g = three_slot_link();
+  const std::vector<std::uint32_t> assignment = {0, 0, 1, 1, 1};
+  EngineOptions o;
+  o.algorithm = Algorithm::kDPR2;
+  o.alpha = kAlpha;
+  o.seed = 3;
+  o.t1 = 1.0;  // each group steps about once per time unit
+  o.t2 = 1.0;
+  o.delivery_probability = 0.0;  // only injected slices reach group 1
+  const auto reference = open_system_reference(g, kAlpha, pool());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<YSlice> good = {slice_of(Values{0.1, 0.2, 0.3}),
+                                    slice_of(Entries{{1, 0.5}}),
+                                    slice_of(Entries{{0, 0.8}, {2, 0.9}})};
+  const std::vector<YSlice> bad = {
+      slice_of(Entries{{0, 0.4}, {3, 0.4}}),  // slot == slot_count
+      slice_of(Values{0.6, 0.6}),             // wrong length
+      slice_of(Values{0.7, nan, 0.7}),
+      slice_of(Entries{{1, -1.0}}),
+      slice_of(Values{0.1, 0.1, -1.0}),
+  };
+  // Good and bad interleaved in one inbox.
+  const auto inject = [&](DistributedRanking& sim) {
+    sim.inject_slice(0, 1, good[0]);
+    sim.inject_slice(0, 1, bad[0]);
+    sim.inject_slice(0, 1, good[1]);
+    sim.inject_slice(0, 1, bad[1]);
+    sim.inject_slice(0, 1, bad[2]);
+    sim.inject_slice(0, 1, good[2]);
+    sim.inject_slice(0, 1, bad[3]);
+    sim.inject_slice(0, 1, bad[4]);
+  };
+  const auto x_of = [&](const DistributedRanking& sim) {
+    std::vector<double> x;
+    for (const double r : sim.group(1).ranks()) x.push_back(r - kBeta);
+    return x;
+  };
+
+  DistributedRanking mixed(g, assignment, 2, o, pool());
+  mixed.set_reference(reference);
+  inject(mixed);
+  (void)mixed.run(3.0, 3.0);
+  EXPECT_EQ(mixed.slices_rejected(), bad.size());
+  // Arrival order: the last slice naming a slot wins.
+  const std::vector<double> expected = {0.8, 0.5, 0.9};
+  const auto x = x_of(mixed);
+  ASSERT_EQ(x.size(), expected.size());
+  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], expected[i], 1e-15) << i;
+
+  // The refused slices touched nothing: the good ones alone give the same bits.
+  DistributedRanking clean(g, assignment, 2, o, pool());
+  clean.set_reference(reference);
+  for (const YSlice& s : good) clean.inject_slice(0, 1, s);
+  (void)clean.run(3.0, 3.0);
+  EXPECT_EQ(clean.slices_rejected(), 0u);
+  EXPECT_EQ(mixed.global_ranks(), clean.global_ranks());
+
+  // The deliberately broken ranker drops its inbox unread: nothing applied,
+  // nothing counted.
+  o.fault_skip_refresh_group = 1;
+  DistributedRanking skipping(g, assignment, 2, o, pool());
+  skipping.set_reference(reference);
+  inject(skipping);
+  (void)skipping.run(3.0, 3.0);
+  EXPECT_EQ(skipping.slices_rejected(), 0u);
+  for (const double v : x_of(skipping)) EXPECT_EQ(v, 0.0);
 }
 
 }  // namespace

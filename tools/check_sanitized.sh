@@ -5,10 +5,12 @@
 # handshake is actually race-free, not just "has not crashed yet".
 #
 # The scenario corpus additionally runs under AddressSanitizer: the reliable
-# exchange layer moves Y-slice payload buffers between retransmit timers,
-# delivery events, and churn rebuilds (shared_ptr closures invalidated by
-# generation stamps) — ASan is the check that no event ever touches a freed
-# payload or a rebuilt group, on top of TSan's data-race certification.
+# exchange layer hands pooled, reference-counted Y-slice buffers between
+# typed delivery events, retransmit buffers and churn rebuilds (stale events
+# are dropped by a wiring generation stamp), and every inbox is a packed
+# word stream walked by offset arithmetic — ASan is the check that no event
+# touches a released buffer or a rebuilt group and that no message read
+# runs past its stream, on top of TSan's data-race certification.
 #
 # usage: tools/check_sanitized.sh [extra ctest args]
 set -euo pipefail
@@ -70,7 +72,8 @@ echo "TSan: chaos-scenario smoke corpus clean (--partition)"
 # on, so every retransmit/ack/churn code path runs under the checks.
 cmake --preset asan
 cmake --build --preset asan --target scenario_fuzz graph_builder_test \
-  graph_io_test graph_updates_test streaming_builder_test -j"$(nproc)"
+  graph_io_test graph_updates_test streaming_builder_test engine_group_test \
+  engine_golden_test -j"$(nproc)"
 
 # Graph-path edge cases (DESIGN.md §14): default-constructed / out-of-range
 # WebGraph accessors (the old out_links(0) UB), loader reject paths, binary
@@ -82,6 +85,13 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/graph_io_test "
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/graph_updates_test "$@"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/streaming_builder_test "$@"
 echo "ASan: graph edge-case suites clean"
+
+# The exchange layout (DESIGN.md §15): link-table build and receiver slot
+# ranges, the packed inbox stream with poisoned and out-of-range slices,
+# and the bitwise golden lock over every channel configuration and churn.
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_group_test "$@"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tests/engine_golden_test "$@"
+echo "ASan: exchange-layout suites clean"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-asan --quiet
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
