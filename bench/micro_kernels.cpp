@@ -28,7 +28,6 @@
 #include "rank/open_system.hpp"
 #include "transport/exchange.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -42,12 +41,8 @@ const graph::WebGraph& bench_graph() {
 }
 
 // Hot-loop traffic per sweep (see DESIGN.md "Kernel layout" for the
-// accounting): the per-edge multiply streams 20 bytes/edge, the
-// contribution sweep 12, plus per-row vector traffic.
-std::int64_t multiply_bytes(const rank::LinkMatrix& m) {
-  return static_cast<std::int64_t>(m.num_entries()) * 20 +
-         static_cast<std::int64_t>(m.dimension()) * 8;
-}
+// accounting): the contribution sweep streams 12 bytes/edge plus per-row
+// vector traffic.
 std::int64_t contribution_bytes(const rank::LinkMatrix& m) {
   return static_cast<std::int64_t>(m.num_entries()) * 12 +
          static_cast<std::int64_t>(m.dimension()) * 32;
@@ -56,75 +51,9 @@ std::int64_t fused_bytes(const rank::LinkMatrix& m) {
   return contribution_bytes(m) + static_cast<std::int64_t>(m.dimension()) * 16;
 }
 
-void BM_SpmvSweepSerial(benchmark::State& state) {
-  const auto& g = bench_graph();
-  const auto m = rank::LinkMatrix::from_graph(g, 0.85);
-  std::vector<double> x(m.dimension(), 1.0);
-  std::vector<double> y(m.dimension());
-  for (auto _ : state) {
-    m.multiply(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m.num_entries()));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          multiply_bytes(m));
-}
-BENCHMARK(BM_SpmvSweepSerial);
-
 // The pooled sweep kernels are registered from main() — once per entry of
 // the --threads list — so one binary invocation produces the whole thread
 // scaling curve. Each takes its pool explicitly and records its size.
-void BM_SpmvSweepParallel(benchmark::State& state, util::ThreadPool& pool) {
-  const auto& g = bench_graph();
-  const auto m = rank::LinkMatrix::from_graph(g, 0.85);
-  std::vector<double> x(m.dimension(), 1.0);
-  std::vector<double> y(m.dimension());
-  state.counters["pool_threads"] = static_cast<double>(pool.size());
-  for (auto _ : state) {
-    m.multiply(x, y, pool);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m.num_entries()));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          multiply_bytes(m));
-}
-
-void BM_SpmvSweepContributionSerial(benchmark::State& state) {
-  const auto& g = bench_graph();
-  const auto m = rank::LinkMatrix::from_graph(g, 0.85);
-  std::vector<double> x(m.dimension(), 1.0);
-  std::vector<double> y(m.dimension());
-  rank::SweepScratch scratch;
-  for (auto _ : state) {
-    m.sweep(x, y, scratch);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m.num_entries()));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          contribution_bytes(m));
-}
-BENCHMARK(BM_SpmvSweepContributionSerial);
-
-void BM_SpmvSweepContribution(benchmark::State& state, util::ThreadPool& pool) {
-  const auto& g = bench_graph();
-  const auto m = rank::LinkMatrix::from_graph(g, 0.85);
-  std::vector<double> x(m.dimension(), 1.0);
-  std::vector<double> y(m.dimension());
-  rank::SweepScratch scratch;
-  state.counters["pool_threads"] = static_cast<double>(pool.size());
-  for (auto _ : state) {
-    m.sweep(x, y, scratch, pool);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m.num_entries()));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          contribution_bytes(m));
-}
-
 void BM_SpmvSweepFused(benchmark::State& state, util::ThreadPool& pool) {
   const auto& g = bench_graph();
   const auto m = rank::LinkMatrix::from_graph(g, 0.85);
@@ -142,30 +71,6 @@ void BM_SpmvSweepFused(benchmark::State& state, util::ThreadPool& pool) {
                           static_cast<std::int64_t>(m.num_entries()));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           fused_bytes(m));
-}
-
-// The unfused equivalent of BM_SpmvSweepFused: sweep, add forcing, then a
-// separate residual pass — what open_system solves did before fusion.
-void BM_SpmvSweepThenResidual(benchmark::State& state, util::ThreadPool& pool) {
-  const auto& g = bench_graph();
-  const auto m = rank::LinkMatrix::from_graph(g, 0.85);
-  std::vector<double> x(m.dimension(), 1.0);
-  std::vector<double> y(m.dimension());
-  const std::vector<double> forcing(m.dimension(), 0.15);
-  rank::SweepScratch scratch;
-  state.counters["pool_threads"] = static_cast<double>(pool.size());
-  for (auto _ : state) {
-    m.sweep(x, y, scratch, pool);
-    for (std::size_t v = 0; v < y.size(); ++v) y[v] += forcing[v];
-    const double delta = util::l1_distance(y, x);
-    benchmark::DoNotOptimize(delta);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m.num_entries()));
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      (contribution_bytes(m) + static_cast<std::int64_t>(m.dimension()) * 40));
 }
 
 // Worklist kernel, forced dense every sweep: the frontier machinery's
@@ -368,10 +273,7 @@ void register_pooled_benchmarks(const std::vector<unsigned>& thread_list) {
           (name + suffix).c_str(),
           [fn, &pool](benchmark::State& state) { fn(state, pool); });
     };
-    reg("BM_SpmvSweepParallel", BM_SpmvSweepParallel);
-    reg("BM_SpmvSweepContribution", BM_SpmvSweepContribution);
     reg("BM_SpmvSweepFused", BM_SpmvSweepFused);
-    reg("BM_SpmvSweepThenResidual", BM_SpmvSweepThenResidual);
     reg("BM_WorklistDenseFull", BM_WorklistDenseFull);
     reg("BM_WorklistContracted", BM_WorklistContracted);
   }

@@ -146,9 +146,6 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
   // duplicate filter and the suspicion-based failure detector. Recovery
   // scenarios imply it: the supervisor's quorum reads the failure detector.
   eo.reliability.retransmit = s.reliable || s.recovery;
-  // Exact-mode worklist sweeps: bitwise-identical ranks, so every invariant
-  // below applies verbatim whether this is on or off.
-  eo.worklist = s.worklist;
   eo.stability_epsilon = s.stability_epsilon;
   eo.seed = s.engine_seed;
   // Observability pass-through: pure observation, so every code path below
@@ -457,12 +454,11 @@ ScenarioResult ScenarioRunner::run(const Scenario& s) {
         const auto ranks = sim->global_ranks();
         auto delta = graph::apply_updates_delta(g, random_updates(g, op.seed));
         auto new_assignment = partitioner->partition(delta.graph, s.k);
-        // Incremental fast path (DESIGN.md §14): a link-only splice on an
-        // exact-mode worklist scenario with unchanged ownership carries the
-        // frontier across the swap instead of re-sweeping densely. Bitwise-
-        // identical to the cold path, which --full-graph-rebuild forces.
-        const bool incremental = !opts_.full_graph_rebuild && s.worklist &&
-                                 delta.incremental &&
+        // Incremental fast path (DESIGN.md §14): a link-only splice with
+        // unchanged ownership carries the frontier across the swap instead
+        // of re-sweeping densely. Bitwise-identical to the cold path, which
+        // --full-graph-rebuild forces.
+        const bool incremental = !opts_.full_graph_rebuild && delta.incremental &&
                                  new_assignment == assignment;
         engine::DistributedRanking::WorklistCarrySet carry;
         if (incremental) carry = sim->export_worklist_carry();

@@ -52,9 +52,9 @@ struct RunnerOptions {
   bool break_supervisor_ledger = false;
   /// Force every kGraphUpdate through the cold rebuild-then-warm-start path
   /// even when the delta qualifies for the incremental frontier carry
-  /// (link-only, worklist scenario, assignment unchanged). The determinism
-  /// gates diff runs with this on and off: at ε = 0 the two paths must
-  /// produce bitwise-identical results.
+  /// (link-only, assignment unchanged). The determinism gates diff runs
+  /// with this on and off: the two paths must produce bitwise-identical
+  /// results.
   bool full_graph_rebuild = false;
   double alpha = 0.85;
   /// Optional observability sinks (DESIGN.md §11). Pure observation: a run

@@ -253,7 +253,6 @@ void Scenario::serialize(std::ostream& out) const {
   out << "delivery_latency " << delivery_latency << '\n';
   out << "latency_jitter " << latency_jitter << '\n';
   out << "reliable " << (reliable ? 1 : 0) << '\n';
-  out << "worklist " << (worklist ? 1 : 0) << '\n';
   out << "serve " << (serve ? 1 : 0) << '\n';
   out << "recovery " << (recovery ? 1 : 0) << '\n';
   out << "stability_epsilon " << stability_epsilon << '\n';
@@ -379,9 +378,10 @@ Scenario Scenario::parse(std::istream& in) {
       if (!(fields >> flag)) fail("bad reliable");
       s.reliable = flag != 0;
     } else if (key == "worklist") {
+      // Traces from before the engine had one sweep path chose it here;
+      // the value is checked and ignored.
       int flag = 0;
       if (!(fields >> flag)) fail("bad worklist");
-      s.worklist = flag != 0;
     } else if (key == "serve") {
       int flag = 0;
       if (!(fields >> flag)) fail("bad serve");

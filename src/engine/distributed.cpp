@@ -93,17 +93,6 @@ EngineOptions DistributedRanking::validated(EngineOptions o) {
     throw std::invalid_argument(
         "EngineOptions.snapshot_interval: must be > 0 and finite");
   }
-  // worklist — both values valid: false keeps the dense kernels, true
-  // routes local iteration through the frontier kernel (DESIGN.md §6).
-  if (!(o.worklist_epsilon >= 0.0) || !std::isfinite(o.worklist_epsilon)) {
-    throw std::invalid_argument(
-        "EngineOptions.worklist_epsilon: must be >= 0 and finite");
-  }
-  if (o.worklist && o.worklist_epsilon > 0.0 && o.worklist_full_interval == 0) {
-    throw std::invalid_argument(
-        "EngineOptions.worklist_full_interval: must be >= 1 when "
-        "worklist_epsilon > 0 (periodic dense sweeps bound the drift)");
-  }
   auto& r = o.reliability;
   if (r.retransmit) r.epochs = true;  // retransmission needs the dup filter
   if (!(r.ack_latency >= 0.0)) {
@@ -270,16 +259,10 @@ void DistributedRanking::build_groups(std::span<const std::uint32_t> assignment)
         e_local.push_back(opts_.personalization[p]);
       }
     }
+    // Fresh groups start unprimed (first sweep dense), which is exactly the
+    // frontier-reset rule for churn/graph-update rebuilds.
     groups_.push_back(std::make_unique<PageGroup>(graph_, std::move(members[grp]),
                                                   opts_.alpha, e_local));
-    if (opts_.worklist) {
-      // Fresh groups start unprimed (first sweep dense), which is exactly
-      // the frontier-reset rule for churn/graph-update rebuilds.
-      rank::WorklistOptions wl;
-      wl.epsilon = opts_.worklist_epsilon;
-      wl.full_interval = opts_.worklist_full_interval;
-      groups_.back()->configure_worklist(wl);
-    }
   }
 
   // --- Wire cut edges into the link table -----------------------------------

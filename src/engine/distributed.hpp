@@ -87,10 +87,9 @@ class DistributedRanking {
   /// degree_changed page lists; they re-seed exactly the affected frontier
   /// rows. Precondition: identical membership and assignment as the engine
   /// that exported `carry` (the chaos runner guards this); with a mismatched
-  /// carry every group falls back to the dense path, so the call degrades to
-  /// plain warm_start. At worklist ε = 0 the resulting rank trajectory is
-  /// bitwise-identical to rebuild-then-warm_start (DESIGN.md §14, locked by
-  /// test).
+  /// carry every group re-primes with a dense sweep, so the call degrades to
+  /// plain warm_start. The resulting rank trajectory is bitwise-identical to
+  /// rebuild-then-warm_start (DESIGN.md §14, locked by test).
   void warm_start_incremental(std::span<const double> global_ranks,
                               WorklistCarrySet carry,
                               std::span<const graph::PageId> changed_rows,

@@ -8,13 +8,15 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "rank/open_system.hpp"
-
 namespace p2prank::engine {
 
 namespace {
 
 constexpr double kNever = std::numeric_limits<double>::quiet_NaN();
+
+/// Exact mode (ε = 0): rows are skipped only when their inputs are bitwise
+/// unchanged, so every sweep equals the dense kernel's bit for bit.
+constexpr rank::WorklistOptions kExact{};
 
 double value_of(std::uint64_t word) noexcept { return std::bit_cast<double>(word); }
 
@@ -173,12 +175,6 @@ PageGroup::PageGroup(const graph::WebGraph& g, std::vector<graph::PageId> member
   scratch_.assign(members_.size(), 0.0);
 }
 
-void PageGroup::configure_worklist(const rank::WorklistOptions& opts) {
-  worklist_enabled_ = true;
-  wl_opts_ = opts;
-  wl_state_.reset();
-}
-
 void PageGroup::set_ranks(std::span<const double> ranks) {
   if (ranks.size() != ranks_.size()) {
     throw std::invalid_argument("PageGroup::set_ranks: size mismatch");
@@ -233,7 +229,7 @@ void PageGroup::apply_slot(std::size_t at, double value) {
   stored = value;
   // A bitwise-unchanged forcing slot (delta exactly 0) cannot change the
   // row's next value, so only real changes wake the row.
-  if (worklist_enabled_ && delta != 0.0) wl_state_.mark_forcing_dirty(local);
+  if (delta != 0.0) wl_state_.mark_forcing_dirty(local);
 }
 
 bool PageGroup::refresh_slots(const Inbox::Message& msg) {
@@ -296,13 +292,13 @@ void PageGroup::scale_received(std::uint32_t source_group, double factor) {
     x_[local] += delta;
     forcing_[local] += delta;
     value = decayed;
-    if (worklist_enabled_ && delta != 0.0) wl_state_.mark_forcing_dirty(local);
+    if (delta != 0.0) wl_state_.mark_forcing_dirty(local);
   }
 }
 
 PageGroup::WorklistCarry PageGroup::export_worklist_carry() const {
   WorklistCarry carry;
-  if (!worklist_enabled_ || !wl_state_.primed) return carry;
+  if (!wl_state_.primed) return carry;
   // The differ bitmap is a statement about this exact buffer pair; if the
   // state talks about some other pair the frontier is not exportable.
   const bool pair_ok =
@@ -321,11 +317,7 @@ bool PageGroup::install_worklist_carry(
     std::span<const std::uint32_t> changed_sources_local) {
   const std::size_t dim = members_.size();
   const std::size_t words = (dim + 63) / 64;
-  // The frontier argument (DESIGN.md §14) needs exact mode: with ε > 0 the
-  // carried contribs embed sub-epsilon drift relative to a fresh prime, so
-  // the bitwise contract with rebuild-then-warm-start would not hold.
-  if (!worklist_enabled_ || wl_opts_.epsilon != 0.0 || !carry.valid ||
-      carry.contrib.size() != dim || carry.differ.size() != words) {
+  if (!carry.valid || carry.contrib.size() != dim || carry.differ.size() != words) {
     set_ranks(ranks);
     return false;
   }
@@ -360,7 +352,7 @@ bool PageGroup::install_worklist_carry(
 }
 
 void PageGroup::mark_all_received_dirty() {
-  if (!worklist_enabled_ || links_ == nullptr) return;
+  if (links_ == nullptr) return;
   const LinkTable& t = *links_;
   for (std::size_t at = t.recv_begin(self_); at < t.recv_end(self_); ++at) {
     if (!std::isnan(t.received_[at])) wl_state_.mark_forcing_dirty(t.slot_page_[at]);
@@ -370,55 +362,30 @@ void PageGroup::mark_all_received_dirty() {
 std::size_t PageGroup::solve_to_convergence(double epsilon,
                                             std::size_t max_iterations,
                                             util::ThreadPool& pool) {
-  if (worklist_enabled_) {
-    // Iterate in place on the persistent ranks_/scratch_ pair so the
-    // frontier survives across outer steps: after the first solve, later
-    // solves only touch rows reached from refreshed forcing entries. Same
-    // convergence gating as solve_open_system_worklist.
-    std::size_t iterations = 0;
-    bool confirm = false;
-    for (std::size_t it = 0; it < max_iterations; ++it) {
-      const rank::WorklistSweepStats stats = matrix_.sweep_and_residual_worklist(
-          ranks_, scratch_, forcing_, sweep_scratch_, wl_state_, wl_opts_, pool,
-          /*force_dense=*/confirm);
-      std::swap(ranks_, scratch_);
-      ++iterations;
-      if (stats.l1_delta <= epsilon) {
-        if (stats.dense || wl_opts_.epsilon == 0.0) break;
-        confirm = true;
-      } else {
-        confirm = false;
-      }
-    }
-    return iterations;
-  }
-  // Dense: solve_open_system's loop, run in place on the same pair so a
-  // loop step allocates nothing.
+  // solve_open_system's loop, run in place on the persistent ranks_/scratch_
+  // pair: a loop step allocates nothing, and the frontier survives across
+  // outer steps, so later solves only touch rows reached from refreshed
+  // forcing entries.
   std::size_t iterations = 0;
-  for (std::size_t it = 0; it < max_iterations; ++it) {
-    const double delta =
-        rank::open_system_sweep(matrix_, ranks_, scratch_, forcing_, sweep_scratch_, pool)
-            .l1_delta;
-    std::swap(ranks_, scratch_);
+  while (iterations < max_iterations) {
     ++iterations;
-    if (delta <= epsilon) break;
+    if (sweep_in_place(pool) <= epsilon) break;
   }
   return iterations;
 }
 
 void PageGroup::sweep_once(util::ThreadPool& pool) {
-  if (worklist_enabled_) {
-    last_sweep_delta_ =
-        matrix_
-            .sweep_and_residual_worklist(ranks_, scratch_, forcing_,
-                                         sweep_scratch_, wl_state_, wl_opts_, pool)
-            .l1_delta;
-  } else {
-    last_sweep_delta_ =
-        rank::open_system_sweep(matrix_, ranks_, scratch_, forcing_, sweep_scratch_, pool)
-            .l1_delta;
-  }
+  last_sweep_delta_ = sweep_in_place(pool);
+}
+
+double PageGroup::sweep_in_place(util::ThreadPool& pool) {
+  const double delta = matrix_
+                           .sweep_and_residual_worklist(ranks_, scratch_, forcing_,
+                                                        sweep_scratch_, wl_state_,
+                                                        kExact, pool)
+                           .l1_delta;
   std::swap(ranks_, scratch_);
+  return delta;
 }
 
 void PageGroup::compute_y(std::uint32_t link, double threshold, YSlice& out) const {

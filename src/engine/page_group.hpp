@@ -291,13 +291,6 @@ class PageGroup {
   /// slot by slot, exactly like any refresh.
   void scale_received(std::uint32_t source_group, double factor);
 
-  /// Route all local iteration through the residual-driven worklist kernel
-  /// (DESIGN.md §6). Call during wiring; the frontier state then persists
-  /// across steps so converged rows stay skipped until their inputs move.
-  /// With opts.epsilon == 0 every iterate is bitwise-identical to the dense
-  /// kernels.
-  void configure_worklist(const rank::WorklistOptions& opts);
-
   /// Frontier state (tallies of skipped/recomputed rows); for tests.
   [[nodiscard]] const rank::WorklistState& worklist_state() const noexcept {
     return wl_state_;
@@ -315,8 +308,8 @@ class PageGroup {
   };
 
   /// Snapshot the frontier for an incremental graph swap. Returns an
-  /// invalid carry when the group is not running a primed worklist on the
-  /// current buffer pair (callers then fall back to a dense warm start).
+  /// invalid carry when the frontier is not primed on the current buffer
+  /// pair (callers then fall back to a dense warm start).
   [[nodiscard]] WorklistCarry export_worklist_carry() const;
 
   /// Adopt rank state plus a predecessor's frontier after a link-only graph
@@ -325,9 +318,9 @@ class PageGroup {
   /// sweep re-propagates them; `changed_rows_local` are local rows whose
   /// in-neighborhood changed — they get forcing-dirty bits so they
   /// recompute. Falls back to set_ranks() (dense re-prime) and returns
-  /// false when the carry does not fit this group or the worklist is not in
-  /// exact mode; returns true when the frontier was installed. Call before
-  /// any X re-priming so refresh_x() can record its own dirty rows.
+  /// false when the carry does not fit this group; returns true when the
+  /// frontier was installed. Call before any X re-priming so refresh_x()
+  /// can record its own dirty rows.
   bool install_worklist_carry(std::span<const double> ranks, WorklistCarry carry,
                               std::span<const std::uint32_t> changed_rows_local,
                               std::span<const std::uint32_t> changed_sources_local);
@@ -345,8 +338,8 @@ class PageGroup {
   std::size_t solve_to_convergence(double epsilon, std::size_t max_iterations,
                                    util::ThreadPool& pool);
 
-  /// DPR2 body: exactly one Jacobi sweep of R = A·R + βE + X (fused
-  /// contribution kernel; the sweep's residual is recorded, not recomputed).
+  /// DPR2 body: exactly one Jacobi sweep of R = A·R + βE + X (the sweep's
+  /// residual is recorded, not recomputed).
   void sweep_once(util::ThreadPool& pool);
 
   /// L1 norm of (R_new − R_old) of the most recent sweep_once(); 0 before
@@ -380,6 +373,10 @@ class PageGroup {
   [[nodiscard]] bool refresh_wrapped();
   /// Supersede the stored value of received slot `at`.
   void apply_slot(std::size_t at, double value);
+  /// One Jacobi sweep R ← A·R + βE + X (DESIGN.md §6): the exact worklist
+  /// kernel, which recomputes only rows whose inputs moved since their last
+  /// sweep and is bitwise-identical to a dense sweep. Returns ‖ΔR‖₁.
+  double sweep_in_place(util::ThreadPool& pool);
 
   std::vector<graph::PageId> members_;
   rank::LinkMatrix matrix_;
@@ -389,8 +386,6 @@ class PageGroup {
   std::vector<double> forcing_;         // βE + X, kept in sync with x_
   std::vector<double> scratch_;         // sweep target
   rank::SweepScratch sweep_scratch_;    // contribution vector + partials
-  bool worklist_enabled_ = false;       // route sweeps through the frontier kernel
-  rank::WorklistOptions wl_opts_;
   rank::WorklistState wl_state_;        // frontier bitmaps, pinned to ranks_/scratch_
   double last_sweep_delta_ = 0.0;       // L1 residual of the last sweep_once
   LinkTable* links_ = nullptr;          // engine-owned; null until attached

@@ -1,6 +1,9 @@
 #include "graph/graph_io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstring>
+#include <system_error>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -87,8 +90,18 @@ WebGraph load_graph(std::istream& in) {
       links.push_back(std::move(rec));
     } else if (tag == "X") {
       ExtRec rec;
-      if (!(fields >> rec.from >> rec.count)) fail("malformed X record");
+      std::string count;
+      if (!(fields >> rec.from >> count)) fail("malformed X record");
       reject_trailing(fields);
+      // Plain decimal digits only: operator>> into an unsigned type would
+      // wrap a leading '-' (so "-1" read as 4294967295) and accept a '+'.
+      const char* const end = count.data() + count.size();
+      const auto [stop, err] = std::from_chars(count.data(), end, rec.count);
+      if (!std::all_of(count.begin(), count.end(),
+                       [](char c) { return c >= '0' && c <= '9'; }) ||
+          err != std::errc{} || stop != end) {
+        fail("X count '" + count + "' is not a decimal count below 2^32");
+      }
       // save_graph never emits a zero count; accepting one would break the
       // round-trip (it silently vanishes on the next save).
       if (rec.count == 0) fail("X record with zero count");

@@ -62,8 +62,7 @@ LinkMatrix LinkMatrix::from_graph(const graph::WebGraph& g, double alpha) {
   LinkMatrix m;
   m.alpha_ = alpha;
   m.offsets_.assign(n + 1, 0);
-  // Per-source weight α/d_global(u); edges replicate these exact doubles so
-  // the contribution sweep is bitwise-identical to the per-edge multiply.
+  // Per-source weight α/d_global(u): the weight of every edge out of u.
   m.source_weight_.resize(n);
   for (graph::PageId u = 0; u < n; ++u) {
     const auto d = g.out_degree(u);
@@ -73,14 +72,9 @@ LinkMatrix LinkMatrix::from_graph(const graph::WebGraph& g, double alpha) {
     m.offsets_[v + 1] = m.offsets_[v] + g.in_links(v).size();
   }
   m.sources_.resize(m.offsets_[n]);
-  m.weights_.resize(m.offsets_[n]);
   std::uint64_t pos = 0;
   for (graph::PageId v = 0; v < n; ++v) {
-    for (const graph::PageId u : g.in_links(v)) {
-      m.sources_[pos] = u;
-      m.weights_[pos] = m.source_weight_[u];
-      ++pos;
-    }
+    for (const graph::PageId u : g.in_links(v)) m.sources_[pos++] = u;
   }
   m.finish_layout();
   return m;
@@ -135,15 +129,11 @@ LinkMatrix LinkMatrix::from_subset(const graph::WebGraph& g,
     m.offsets_[i + 1] = m.offsets_[i] + count;
   }
   m.sources_.resize(m.offsets_.back());
-  m.weights_.resize(m.offsets_.back());
   std::uint64_t pos = 0;
   for (std::uint32_t i = 0; i < pages.size(); ++i) {
     for (const graph::PageId u : g.in_links(pages[i])) {
       const std::uint32_t local = local_of(u);
-      if (local == kAbsent) continue;
-      m.sources_[pos] = local;
-      m.weights_[pos] = m.source_weight_[local];
-      ++pos;
+      if (local != kAbsent) m.sources_[pos++] = local;
     }
   }
   assert(pos == m.sources_.size());
@@ -153,11 +143,11 @@ LinkMatrix LinkMatrix::from_subset(const graph::WebGraph& g,
 
 namespace {
 
-// All kernels accumulate rows with this exact two-lane pattern (even edges
+// Both kernels accumulate rows with this exact two-lane pattern (even edges
 // into lane 0, odd into lane 1, lanes combined once at the end). Two
 // in-flight adds hide the FP-add latency that a single serial chain exposes
-// on short rows, and sharing the pattern is what makes the weighted and
-// contribution kernels bitwise-identical.
+// on short rows, and sharing the pattern is what makes the dense and
+// worklist kernels bitwise-identical.
 inline double row_sum_contribution(const double* contrib, const std::uint32_t* sources,
                                    std::uint64_t begin, std::uint64_t end) noexcept {
   double acc0 = 0.0;
@@ -171,81 +161,7 @@ inline double row_sum_contribution(const double* contrib, const std::uint32_t* s
   return acc0 + acc1;
 }
 
-inline double row_sum_weighted(const double* x, const std::uint32_t* sources,
-                               const double* weights, std::uint64_t begin,
-                               std::uint64_t end) noexcept {
-  double acc0 = 0.0;
-  double acc1 = 0.0;
-  std::uint64_t e = begin;
-  for (; e + 1 < end; e += 2) {
-    acc0 += x[sources[e]] * weights[e];
-    acc1 += x[sources[e + 1]] * weights[e + 1];
-  }
-  if (e < end) acc0 += x[sources[e]] * weights[e];
-  return acc0 + acc1;
-}
-
 }  // namespace
-
-void LinkMatrix::multiply(std::span<const double> x, std::span<double> y) const {
-  assert(x.size() == dimension() && y.size() == dimension());
-  const std::uint32_t* const sources = sources_.data();
-  const double* const weights = weights_.data();
-  for (std::size_t v = 0; v < dimension(); ++v) {
-    y[v] = row_sum_weighted(x.data(), sources, weights, offsets_[v], offsets_[v + 1]);
-  }
-}
-
-void LinkMatrix::multiply(std::span<const double> x, std::span<double> y,
-                          util::ThreadPool& pool) const {
-  assert(x.size() == dimension() && y.size() == dimension());
-  // Small systems are not worth the fork/join overhead.
-  if (num_entries() < 1u << 14) {
-    multiply(x, y);
-    return;
-  }
-  const std::uint32_t* const sources = sources_.data();
-  const double* const weights = weights_.data();
-  pool.parallel_for(dimension(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t v = begin; v < end; ++v) {
-      y[v] = row_sum_weighted(x.data(), sources, weights, offsets_[v], offsets_[v + 1]);
-    }
-  });
-}
-
-void LinkMatrix::sweep(std::span<const double> x, std::span<double> y,
-                       SweepScratch& scratch) const {
-  assert(x.size() == dimension() && y.size() == dimension());
-  const std::size_t dim = dimension();
-  scratch.contrib.resize(dim);
-  double* const contrib = scratch.contrib.data();
-  const double* const sw = source_weight_.data();
-  for (std::size_t u = 0; u < dim; ++u) contrib[u] = x[u] * sw[u];
-  const std::uint32_t* const sources = sources_.data();
-  for (std::size_t v = 0; v < dim; ++v) {
-    y[v] = row_sum_contribution(contrib, sources, offsets_[v], offsets_[v + 1]);
-  }
-}
-
-void LinkMatrix::sweep(std::span<const double> x, std::span<double> y,
-                       SweepScratch& scratch, util::ThreadPool& pool) const {
-  assert(x.size() == dimension() && y.size() == dimension());
-  const std::size_t dim = dimension();
-  scratch.contrib.resize(dim);
-  double* const contrib = scratch.contrib.data();
-  const double* const sw = source_weight_.data();
-  pool.parallel_for(dim, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t u = begin; u < end; ++u) contrib[u] = x[u] * sw[u];
-  });
-  const std::uint32_t* const sources = sources_.data();
-  pool.parallel_for_grains(
-      dim, sweep_grain_,
-      [&](std::size_t /*grain*/, std::size_t begin, std::size_t end) {
-        for (std::size_t v = begin; v < end; ++v) {
-          y[v] = row_sum_contribution(contrib, sources, offsets_[v], offsets_[v + 1]);
-        }
-      });
-}
 
 SweepStats LinkMatrix::sweep_and_residual(std::span<const double> in,
                                           std::span<double> out,
@@ -582,7 +498,7 @@ WorklistSweepStats LinkMatrix::sweep_and_residual_worklist(
 double LinkMatrix::contraction_norm() const noexcept {
   std::vector<double> out_weight(dimension(), 0.0);
   for (std::size_t e = 0; e < sources_.size(); ++e) {
-    out_weight[sources_[e]] += weights_[e];
+    out_weight[sources_[e]] += source_weight_[sources_[e]];
   }
   double max_w = 0.0;
   for (const double w : out_weight) max_w = std::max(max_w, w);

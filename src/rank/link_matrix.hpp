@@ -9,17 +9,13 @@
 // *outside the subset* are not rows of this matrix — their rank share exits
 // the group and is the business of the efferent matrix (engine/).
 //
-// Two multiply kernels exist:
-//   * multiply()  — streams a per-edge weight (weights_). Kept for the
-//     efferent path and as the bitwise reference in tests.
-//   * sweep()/sweep_and_residual() — the hot path. Every edge weight is just
-//     α/d(source), so a per-sweep *contribution* vector
-//     contrib[u] = x[u]·(α/d(u)) replaces the per-edge weight stream: the
-//     edge loop reads 12 bytes/edge (4B source index + 8B gather) instead of
-//     20 (4B index + 8B weight + 8B gather). Because weights_[e] is stored
-//     as the identical double source_weight_[src[e]], the per-edge product
-//     x[src]·w is bit-for-bit the same in both kernels, so they produce
-//     bitwise-identical y. See DESIGN.md "Kernel layout".
+// Every edge weight is just α/d(source), so no per-edge weight is stored: a
+// sweep first forms the *contribution* vector contrib[u] = x[u]·(α/d(u)),
+// then each row gathers contrib over its sources — 12 bytes/edge (4B source
+// index + 8B gather). sweep_and_residual is the dense kernel and the
+// bitwise reference; sweep_and_residual_worklist recomputes only the rows
+// whose inputs moved and, at ε = 0, matches it bit for bit. See DESIGN.md
+// "Kernel layout".
 #pragma once
 
 #include <cstdint>
@@ -132,24 +128,6 @@ class LinkMatrix {
   [[nodiscard]] std::size_t num_entries() const noexcept { return sources_.size(); }
   [[nodiscard]] double alpha() const noexcept { return alpha_; }
 
-  /// y = A x (single-threaded, per-edge weight stream). The bitwise
-  /// reference kernel.
-  void multiply(std::span<const double> x, std::span<double> y) const;
-
-  /// y = A x using the pool (row-parallel; deterministic).
-  void multiply(std::span<const double> x, std::span<double> y,
-                util::ThreadPool& pool) const;
-
-  /// y = A x via the contribution vector (single-threaded). Bitwise
-  /// identical to multiply().
-  void sweep(std::span<const double> x, std::span<double> y,
-             SweepScratch& scratch) const;
-
-  /// y = A x via the contribution vector, row-parallel over fixed grains.
-  /// Bitwise identical to multiply() for any pool size.
-  void sweep(std::span<const double> x, std::span<double> y, SweepScratch& scratch,
-             util::ThreadPool& pool) const;
-
   /// Fused Jacobi sweep: out = A·in + forcing (forcing may be empty = zero),
   /// returning the L1/L∞ norms of (out − in) accumulated during the sweep —
   /// no second pass over the vectors. in/out must not alias. The residual is
@@ -188,16 +166,15 @@ class LinkMatrix {
             out_targets_.data() + out_offsets_[u + 1]};
   }
 
-  /// Weighted in-edges of local row v: parallel spans of sources/weights.
+  /// In-edges of local row v: the local source of each, in storage order.
+  /// Edge u → v weighs source_weights()[u].
   [[nodiscard]] std::span<const std::uint32_t> row_sources(std::size_t v) const noexcept {
     return {sources_.data() + offsets_[v], sources_.data() + offsets_[v + 1]};
   }
-  [[nodiscard]] std::span<const double> row_weights(std::size_t v) const noexcept {
-    return {weights_.data() + offsets_[v], weights_.data() + offsets_[v + 1]};
-  }
 
-  /// α/d_global(u) per local source u (0 for pages with no out-links); the
-  /// per-source form of the edge weights the sweep kernels scale x by.
+  /// α/d_global(u) per local source u (0 for pages with no out-links): the
+  /// weight of every in-matrix edge out of u, which the sweep kernels scale
+  /// x by.
   [[nodiscard]] std::span<const double> source_weights() const noexcept {
     return source_weight_;
   }
@@ -215,7 +192,6 @@ class LinkMatrix {
 
   std::vector<std::uint64_t> offsets_;       // size dim+1
   std::vector<std::uint32_t> sources_;       // local source index per entry
-  std::vector<double> weights_;              // alpha / d_global(source), per edge
   std::vector<double> source_weight_;        // alpha / d_global(u), per local source
   std::vector<std::uint64_t> out_offsets_;   // push CSR: size dim+1
   std::vector<std::uint32_t> out_targets_;   // push CSR: destination per out-edge

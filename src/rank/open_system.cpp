@@ -17,13 +17,6 @@ SweepStats open_system_sweep(const LinkMatrix& A, std::span<const double> in,
   return A.sweep_and_residual(in, out, forcing, scratch, pool);
 }
 
-void open_system_sweep(const LinkMatrix& A, std::span<const double> in,
-                       std::span<double> out, std::span<const double> forcing,
-                       util::ThreadPool& pool) {
-  SweepScratch scratch;
-  (void)open_system_sweep(A, in, out, forcing, scratch, pool);
-}
-
 SolveResult solve_open_system(const LinkMatrix& A, std::span<const double> forcing,
                               std::span<const double> initial,
                               const SolveOptions& opts, util::ThreadPool& pool) {

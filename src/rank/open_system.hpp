@@ -23,12 +23,6 @@ SweepStats open_system_sweep(const LinkMatrix& A, std::span<const double> in,
                              std::span<double> out, std::span<const double> forcing,
                              SweepScratch& scratch, util::ThreadPool& pool);
 
-/// Convenience overload allocating its own scratch (fine for one-shot
-/// sweeps; hot loops should hold a SweepScratch and use the overload above).
-void open_system_sweep(const LinkMatrix& A, std::span<const double> in,
-                       std::span<double> out, std::span<const double> forcing,
-                       util::ThreadPool& pool);
-
 /// Solve R = A·R + forcing from the given initial vector, iterating until
 /// the L1 delta is <= opts.epsilon or max_iterations is hit. `initial` may
 /// be empty (treated as the zero vector).

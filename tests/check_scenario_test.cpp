@@ -150,23 +150,36 @@ TEST(Scenario, PreReliabilityTracesParseWithDefaults) {
   EXPECT_EQ(back.to_text(), text);
 }
 
-// The worklist header key round-trips, and traces written before the
-// worklist extension parse with the flag defaulting off.
-TEST(Scenario, WorklistKeyRoundTripsAndDefaultsOff) {
-  Scenario s = Scenario::from_seed(13);
-  s.worklist = true;
-  const Scenario back = Scenario::parse_text(s.to_text());
-  EXPECT_TRUE(back.worklist);
-  EXPECT_EQ(back.to_text(), s.to_text());
+// Traces written while the engine had a dense and a worklist sweep path
+// carry a `worklist 0|1` header line. It still parses (a malformed value is
+// rejected) but selects nothing: both values replay to the same verdict, and
+// the line is not written back.
+TEST(Scenario, LegacyWorklistKeyParsesAndReplaysToTheSameVerdict) {
+  const Scenario s = Scenario::from_seed(13);
+  const std::string text = s.to_text();
+  EXPECT_EQ(text.find("worklist"), std::string::npos);
+  const auto with_key = [&](const std::string& value) {
+    std::string out;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+      out += line + '\n';
+      if (line.rfind("reliable ", 0) == 0) out += "worklist " + value + '\n';
+    }
+    return out;
+  };
+  const Scenario off = Scenario::parse_text(with_key("0"));
+  const Scenario on = Scenario::parse_text(with_key("1"));
+  EXPECT_EQ(off.to_text(), text);
+  EXPECT_EQ(on.to_text(), text);
+  EXPECT_THROW((void)Scenario::parse_text(with_key("yes")), std::runtime_error);
 
-  std::string pruned;
-  std::istringstream lines(s.to_text());
-  for (std::string line; std::getline(lines, line);) {
-    if (line.rfind("worklist ", 0) == 0) continue;
-    pruned += line + '\n';
-  }
-  const Scenario old = Scenario::parse_text(pruned);
-  EXPECT_FALSE(old.worklist);
+  ScenarioRunner runner(pool(), RunnerOptions{});
+  const ScenarioResult a = runner.run(off);
+  const ScenarioResult b = runner.run(on);
+  EXPECT_TRUE(a.ok()) << a.summary();
+  EXPECT_EQ(a.summary(), b.summary());
+  EXPECT_EQ(a.final_error, b.final_error);
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
 }
 
 // from_seed only pairs jitter with the reliable layer: jitter without epochs

@@ -381,63 +381,5 @@ TEST_F(ExtensionsFixture, ChurnDuringRunIsTolerated) {
   EXPECT_TRUE(result.reached);
 }
 
-// ------------------------------------------------------------ worklist sweeps
-
-TEST_F(ExtensionsFixture, WorklistEngineBitwiseMatchesDense) {
-  // Exact-mode worklists (worklist_epsilon == 0) route every local sweep
-  // through the frontier kernel yet must not change a single bit of engine
-  // behavior. Crash and churn between run() segments exercise the frontier
-  // reset rules (set_ranks / reset_state / group rebuilds).
-  for (const Algorithm alg : {Algorithm::kDPR1, Algorithm::kDPR2}) {
-    auto run_one = [&](bool worklist) {
-      auto o = base_options();
-      o.algorithm = alg;
-      o.worklist = worklist;
-      DistributedRanking sim(*graph_, *assignment_, 8, o, pool());
-      sim.set_reference(*reference_);
-      (void)sim.run(25.0, 25.0);
-      sim.crash_group(2);
-      (void)sim.run(50.0, 25.0);
-      sim.leave_group(3, 4);
-      sim.join_group(3, 4);
-      (void)sim.run(80.0, 30.0);
-      return sim.global_ranks();
-    };
-    const auto dense = run_one(false);
-    const auto sparse = run_one(true);
-    ASSERT_EQ(dense.size(), sparse.size());
-    for (std::size_t i = 0; i < dense.size(); ++i) {
-      ASSERT_EQ(dense[i], sparse[i])
-          << "page " << i << " alg " << static_cast<int>(alg);
-    }
-  }
-}
-
-TEST_F(ExtensionsFixture, ThresholdedWorklistStillConverges) {
-  // epsilon > 0 trades bitwise identity for a smaller frontier; the periodic
-  // dense sweeps must still carry the engine below the error threshold.
-  auto o = base_options();
-  o.algorithm = Algorithm::kDPR2;
-  o.worklist = true;
-  o.worklist_epsilon = 1e-9;
-  o.worklist_full_interval = 16;
-  DistributedRanking sim(*graph_, *assignment_, 8, o, pool());
-  sim.set_reference(*reference_);
-  const auto result = sim.run_until_error(1e-4, 2000.0, 5.0);
-  EXPECT_TRUE(result.reached) << result.final_relative_error;
-}
-
-TEST_F(ExtensionsFixture, WorklistOptionValidationRejectsBadValues) {
-  auto o = base_options();
-  o.worklist = true;
-  o.worklist_epsilon = -1.0;
-  EXPECT_THROW(DistributedRanking(*graph_, *assignment_, 8, o, pool()),
-               std::invalid_argument);
-  o.worklist_epsilon = 1e-9;
-  o.worklist_full_interval = 0;
-  EXPECT_THROW(DistributedRanking(*graph_, *assignment_, 8, o, pool()),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace p2prank::engine

@@ -142,7 +142,6 @@ Observed dpr1_threshold_reliable(std::size_t threads) {
   o.delivery_latency = 0.2;
   o.reliability.retransmit = true;
   o.send_threshold = 1e-7;
-  o.worklist = true;
   return run_engine(o, threads, 20.0);
 }
 
@@ -206,9 +205,31 @@ Observed dpr1_churn(std::size_t threads) {
   return observe(sim);
 }
 
+/// Crash, then leave and rejoin, between run segments: pins the frontier
+/// reset rules (reset_state, group rebuilds) of the engine's sweep path.
+Observed crash_churn(Algorithm algorithm, std::size_t threads) {
+  util::ThreadPool pool(threads);
+  DistributedRanking sim(crawl(), assignment(), kK, base(algorithm), pool);
+  sim.set_reference(reference());
+  (void)sim.run(25.0, 25.0);
+  sim.crash_group(2);
+  (void)sim.run(50.0, 25.0);
+  sim.leave_group(3, 4);
+  sim.join_group(3, 4);
+  (void)sim.run(80.0, 30.0);
+  return observe(sim);
+}
+
+Observed dpr1_crash_churn(std::size_t threads) {
+  return crash_churn(Algorithm::kDPR1, threads);
+}
+
+Observed dpr2_crash_churn(std::size_t threads) {
+  return crash_churn(Algorithm::kDPR2, threads);
+}
+
 Observed dpr1_warm_start_incremental(std::size_t threads) {
-  auto o = base(Algorithm::kDPR1);
-  o.worklist = true;
+  const auto o = base(Algorithm::kDPR1);
   util::ThreadPool pool(threads);
   DistributedRanking sim0(crawl(), assignment(), kK, o, pool);
   sim0.set_reference(reference());
@@ -258,6 +279,12 @@ const Scenario kScenarios[] = {
      {0x0382b4020c428541ULL, 1476, 92093, 6482, 1239}},
     {"dpr1_warm_start_incremental", dpr1_warm_start_incremental,
      {0xca35f962e075dc45ULL, 814, 52644, 0, 0}},
+    // Recorded on the dense sweep path, before the worklist kernel became
+    // the engine's only one.
+    {"dpr1_crash_churn", dpr1_crash_churn,
+     {0xd71aa2e417b8667bULL, 6325, 401846, 0, 0}},
+    {"dpr2_crash_churn", dpr2_crash_churn,
+     {0x03926e3cbf09c43bULL, 6325, 401846, 0, 0}},
 };
 
 class EngineGolden : public ::testing::TestWithParam<std::size_t> {};

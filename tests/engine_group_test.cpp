@@ -365,7 +365,6 @@ TEST(PageGroupSlots, ScaleReceivedTouchesOnlyReceivedSlots) {
 
 TEST(PageGroupSlots, MarkAllReceivedDirtyMarksExactlyReceivedSlots) {
   SlotRig rig;
-  rig.receiver.configure_worklist({});
   rig.receiver.sweep_once(pool());  // primes the frontier bitmaps
   ASSERT_TRUE(rig.receiver.refresh_x(rig.in, Entries{{0, 0.0}, {2, 0.3}}));
   rig.receiver.sweep_once(pool());  // consumes the refresh's dirty marks
@@ -380,7 +379,6 @@ TEST(PageGroupSlots, MarkAllReceivedDirtyMarksExactlyReceivedSlots) {
 
 TEST(PageGroupSlots, ResetStateClearsReceivedAndSentSlots) {
   SlotRig rig;
-  rig.receiver.configure_worklist({});
   ASSERT_TRUE(rig.receiver.refresh_x(rig.in, Values{0.4, 0.6, 0.8}));
   rig.expect_x({0.4, 0.6, 0.8});
   YSlice y;

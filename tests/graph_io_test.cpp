@@ -135,6 +135,22 @@ TEST(GraphIo, RejectsZeroCountXRecord) {
   }
 }
 
+TEST(GraphIo, RejectsSignedXCounts) {
+  // A sign is not part of a count: "-1" must not wrap to 4294967295 external
+  // links, nor "-4294967295" to 1, and "+7" is not what save_graph writes.
+  for (const char* count : {"-1", "-4294967295", "+7", "4294967296"}) {
+    std::stringstream in(std::string("P s.edu/a s.edu\nX s.edu/a ") + count + "\n");
+    try {
+      (void)load_graph(in);
+      FAIL() << "accepted X count " << count;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    }
+  }
+  std::stringstream ok("P s.edu/a s.edu\nX s.edu/a 4294967295\n");
+  EXPECT_EQ(load_graph(ok).external_out_degree(0), 4294967295u);
+}
+
 TEST(GraphIo, ConflictingPageRecordsCarryLineNumber) {
   // Same URL declared under two different sites: the builder's conflict
   // throw must surface as a line-numbered parse error, not invalid_argument.

@@ -1,12 +1,17 @@
 // Shared fixtures for the p2prank test suite: tiny graphs with known
-// closed-form ranks, and helpers for building crawls inline.
+// closed-form ranks, helpers for building crawls inline, and the edge-by-edge
+// matrix product the sweep kernels are checked against.
 #pragma once
 
+#include <cassert>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "graph/graph_builder.hpp"
 #include "graph/web_graph.hpp"
+#include "rank/link_matrix.hpp"
 
 namespace p2prank::test {
 
@@ -55,6 +60,28 @@ inline graph::WebGraph leaky_pair() {
   b.add_link(a, c);
   b.add_external_link(a);
   return std::move(b).build();
+}
+
+/// y = A·x, edge by edge: in-edge u → v of row v adds x[u]·w(u), with w =
+/// source_weights(). Even edges of a row go to one accumulator and odd edges
+/// to another, summed once at the end — the sweep kernels' order, so they
+/// must match this bit for bit. Single-threaded; the reference, not a kernel.
+inline void multiply_oracle(const rank::LinkMatrix& m, std::span<const double> x,
+                            std::span<double> y) {
+  assert(x.size() == m.dimension() && y.size() == m.dimension());
+  const auto w = m.source_weights();
+  for (std::size_t v = 0; v < m.dimension(); ++v) {
+    const auto src = m.row_sources(v);
+    double acc0 = 0.0;
+    double acc1 = 0.0;
+    std::size_t e = 0;
+    for (; e + 1 < src.size(); e += 2) {
+      acc0 += x[src[e]] * w[src[e]];
+      acc1 += x[src[e + 1]] * w[src[e + 1]];
+    }
+    if (e < src.size()) acc0 += x[src[e]] * w[src[e]];
+    y[v] = acc0 + acc1;
+  }
 }
 
 }  // namespace p2prank::test

@@ -64,7 +64,7 @@
 // --scale --determinism-check instead runs the small bitwise gates wired
 // into tier-bench-smoke: streamed == builder CSR, binary round-trip
 // identity, splice == rebuild CSR, and incremental warm-start ==
-// rebuild-then-warm-start rank vectors at worklist epsilon 0.
+// rebuild-then-warm-start rank vectors.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -1306,8 +1306,8 @@ int run_scale_determinism_check(Options opts) {
     expect(same_graph(delta.graph, rebuilt, &why), "splice != rebuild: " + why);
   }
 
-  // Gate 4: incremental warm start == rebuild-then-warm-start, bitwise, at
-  // worklist epsilon 0 (the engine half of the §14 contract).
+  // Gate 4: incremental warm start == rebuild-then-warm-start, bitwise (the
+  // engine half of the §14 contract).
   {
     util::ThreadPool pool(2);
     std::vector<std::uint32_t> assignment(g.num_pages());
@@ -1316,8 +1316,6 @@ int run_scale_determinism_check(Options opts) {
     eo.algorithm = engine::Algorithm::kDPR1;
     eo.alpha = opts.alpha;
     eo.seed = opts.seed ^ 0x5ca1edEULL;
-    eo.worklist = true;
-    eo.worklist_epsilon = 0.0;
     engine::DistributedRanking sim0(g, assignment, 4, eo, pool);
     sim0.set_reference(engine::open_system_reference(g, opts.alpha, pool));
     (void)sim0.run(30.0, 30.0);
@@ -1379,43 +1377,37 @@ std::vector<VariantResult> kernel_variants(const Options& opts,
   const std::int64_t multiply_bytes = i64(edges) * 20 + i64(n) * 8;
   const std::int64_t contribution_bytes = i64(edges) * 12 + i64(n) * 32;
   const std::int64_t fused_bytes = contribution_bytes + i64(n) * 16;
-  const std::int64_t unfused_bytes = contribution_bytes + i64(n) * 40;
 
   std::vector<VariantResult> results;
   // Frozen copy of the seed's multiply hot loop (single-chain
   // accumulation over the per-edge weight stream). Every run carries this
   // in-phase baseline so kernel speedups can be read off one run without
-  // being confounded by machine phase (shared boxes drift ±30%).
+  // being confounded by machine phase (shared boxes drift ±30%). The matrix
+  // stores no per-edge weights, so the stream is built here, untimed, from
+  // the same doubles.
+  std::vector<double> edge_weight;
+  edge_weight.reserve(edges);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (const std::uint32_t u : m.row_sources(v)) {
+      edge_weight.push_back(m.source_weights()[u]);
+    }
+  }
   results.push_back(make_result(
       "seed_pooled_multiply",
       time_variant(opts,
                    [&] {
+                     const double* w = edge_weight.data();
                      for (std::size_t v = 0; v < n; ++v) {
                        double acc = 0.0;
                        const auto src = m.row_sources(v);
-                       const auto w = m.row_weights(v);
                        for (std::size_t e = 0; e < src.size(); ++e) {
                          acc += x[src[e]] * w[e];
                        }
+                       w += src.size();
                        y[v] = acc;
                      }
                    }),
       edges, multiply_bytes));
-  results.push_back(make_result(
-      "serial_multiply",
-      time_variant(opts, [&] { m.multiply(x, y); }), edges, multiply_bytes));
-  results.push_back(make_result(
-      "pooled_multiply",
-      time_variant(opts, [&] { m.multiply(x, y, pool); }), edges,
-      multiply_bytes));
-  results.push_back(make_result(
-      "contribution_serial",
-      time_variant(opts, [&] { m.sweep(x, y, scratch); }), edges,
-      contribution_bytes));
-  results.push_back(make_result(
-      "contribution_pooled",
-      time_variant(opts, [&] { m.sweep(x, y, scratch, pool); }), edges,
-      contribution_bytes));
   results.push_back(make_result(
       "fused_sweep_residual",
       time_variant(opts,
@@ -1424,16 +1416,6 @@ std::vector<VariantResult> kernel_variants(const Options& opts,
                      if (stats.l1_delta < 0.0) std::abort();  // keep the result live
                    }),
       edges, fused_bytes));
-  results.push_back(make_result(
-      "sweep_then_residual",
-      time_variant(opts,
-                   [&] {
-                     m.sweep(x, y, scratch, pool);
-                     for (std::size_t v = 0; v < n; ++v) y[v] += forcing[v];
-                     volatile double delta = util::l1_distance(y, x);
-                     (void)delta;
-                   }),
-      edges, unfused_bytes));
 
   {
     // Worklist kernel, forced dense every sweep: same row loop as

@@ -34,17 +34,12 @@ echo "TSan: serve snapshot-swap suite clean"
 # The chaos-scenario smoke corpus drives the whole engine (fork-join sweeps,
 # event queue, fault injection) through randomized fault schedules — run it
 # under TSan too so the harness itself is certified race-free.
+# Every group sweeps with the worklist kernel, which scatters dirty bits
+# along push edges with relaxed atomic fetch_or while other workers read
+# neighbouring words — TSan certifies that pattern here too.
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-tsan --quiet
 echo "TSan: chaos-scenario smoke corpus clean"
-
-# Worklist sweeps scatter dirty bits along push edges with relaxed atomic
-# fetch_or while other workers read neighbouring words — run the corpus with
-# the frontier kernel forced on so TSan certifies that pattern too.
-TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/scenario_fuzz \
-  --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-tsan --quiet \
-  --worklist
-echo "TSan: chaos-scenario smoke corpus clean (--worklist)"
 
 # With a rank-serving SnapshotStore attached to every scenario the runner
 # probes the store at each sample while the engine publishes underneath —
@@ -97,9 +92,11 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-asan --quiet \
   --reliable
+# Graph updates take the incremental frontier carry by default; this run
+# forces the cold rebuild path instead.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-asan --quiet \
-  --worklist
+  --full-rebuild
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-asan --quiet \
   --serve
@@ -109,4 +106,4 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" ./build-asan/tools/scenario_fuzz \
   --seeds-file tests/corpus/scenario_seeds.txt --trace-dir build-asan --quiet \
   --partition
-echo "ASan: chaos-scenario smoke corpus clean (base + --reliable + --worklist + --serve + --partition)"
+echo "ASan: chaos-scenario smoke corpus clean (base + --reliable + --full-rebuild + --serve + --partition)"

@@ -6,7 +6,7 @@
 //   scenario_fuzz --replay trace.txt     # re-run a written trace
 //   scenario_fuzz --seeds 50 --broken    # self-test: every run must FAIL
 //   scenario_fuzz --seeds 100 --reliable # force the reliable exchange layer
-//   scenario_fuzz --seeds 100 --worklist # force worklist (frontier) sweeps
+//   scenario_fuzz --seeds 100 --full-rebuild # cold path for graph updates
 //   scenario_fuzz --seeds 100 --serve    # attach the serving layer + probes
 //   scenario_fuzz --seeds 100 --partition# recovery mode + guaranteed cut
 //   scenario_fuzz --seeds 50 --partition --broken  # supervisor self-test:
@@ -47,17 +47,15 @@ int usage(std::ostream& err) {
          "                     [--seeds-file PATH] [--replay PATH]\n"
          "                     [--trace-dir DIR] [--broken] [--no-minimize]\n"
          "                     [--threads T] [--tail-time T] [--quiet]\n"
-         "                     [--reliable] [--worklist] [--serve]\n"
+         "                     [--reliable] [--serve]\n"
          "                     [--partition] [--full-rebuild]\n"
          "  --reliable  force every scenario onto the reliable exchange\n"
          "              layer (epochs + retransmission + failure detection)\n"
-         "  --worklist  force every scenario onto exact-mode worklist\n"
-         "              sweeps (residual-driven frontier kernel)\n"
          "  --full-rebuild\n"
          "              force every kGraphUpdate through the cold rebuild\n"
          "              path even when it qualifies for the incremental\n"
-         "              frontier carry; pairs with --worklist for the A/B\n"
-         "              determinism gate (DESIGN.md §14)\n"
+         "              frontier carry; the A/B twin of the default run\n"
+         "              for the determinism gate (DESIGN.md §14)\n"
          "  --serve     attach a rank-serving snapshot store to every\n"
          "              scenario and probe the serving contract (snapshot\n"
          "              availability, epoch consistency/monotonicity,\n"
@@ -77,7 +75,6 @@ std::string scenario_label(const Scenario& s) {
       << " ops=" << s.ops.size()
       << (s.warm_start_scale > 0.0 ? " warm" : "")
       << (s.reliable ? " reliable" : "")
-      << (s.worklist ? " worklist" : "")
       << (s.serve ? " serve" : "")
       << (s.recovery ? " recovery" : "")
       << (s.latency_jitter > 0.0 ? " jitter" : "");
@@ -179,7 +176,6 @@ int main(int argc, char** argv) {
   bool minimize = true;
   bool quiet = false;
   bool force_reliable = false;
-  bool force_worklist = false;
   bool force_serve = false;
   bool force_partition = false;
   std::size_t threads = 2;
@@ -217,8 +213,6 @@ int main(int argc, char** argv) {
         minimize = false;
       } else if (a == "--reliable") {
         force_reliable = true;
-      } else if (a == "--worklist") {
-        force_worklist = true;
       } else if (a == "--full-rebuild") {
         ropts.full_graph_rebuild = true;
       } else if (a == "--serve") {
@@ -278,9 +272,6 @@ int main(int argc, char** argv) {
 
   if (force_reliable) {
     for (Scenario& s : scenarios) s.reliable = true;
-  }
-  if (force_worklist) {
-    for (Scenario& s : scenarios) s.worklist = true;
   }
   if (force_serve) {
     for (Scenario& s : scenarios) s.serve = true;
