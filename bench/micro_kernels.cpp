@@ -15,6 +15,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -73,8 +74,8 @@ void BM_SpmvSweepFused(benchmark::State& state, util::ThreadPool& pool) {
                           fused_bytes(m));
 }
 
-// Worklist kernel, forced dense every sweep: the frontier machinery's
-// overhead ceiling relative to BM_SpmvSweepFused.
+// Worklist kernel, forced dense every sweep by reset(): the frontier
+// machinery's overhead ceiling relative to BM_SpmvSweepFused.
 void BM_WorklistDenseFull(benchmark::State& state, util::ThreadPool& pool) {
   const auto& g = bench_graph();
   const auto m = rank::LinkMatrix::from_graph(g, 0.85);
@@ -82,61 +83,14 @@ void BM_WorklistDenseFull(benchmark::State& state, util::ThreadPool& pool) {
   std::vector<double> y(m.dimension());
   const std::vector<double> forcing(m.dimension(), 0.15);
   rank::SweepScratch scratch;
-  rank::WorklistOptions wopts;
   rank::WorklistState wstate;
   state.counters["pool_threads"] = static_cast<double>(pool.size());
   for (auto _ : state) {
-    auto stats = m.sweep_and_residual_worklist(x, y, forcing, scratch, wstate,
-                                               wopts, pool, /*force_dense=*/true);
+    wstate.reset();
+    auto stats = m.sweep_and_residual_worklist(x, y, forcing, scratch, wstate, pool);
     benchmark::DoNotOptimize(stats.l1_delta);
     benchmark::DoNotOptimize(y.data());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m.num_entries()));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          fused_bytes(m));
-}
-
-// Worklist kernel at a contracted steady-state frontier: converge first,
-// then keep a 32-row perturbation live so each timed sweep recomputes only
-// the rows the wave actually reaches (see tools/bench_report.cpp for the
-// JSON-reported twin of this measurement).
-void BM_WorklistContracted(benchmark::State& state, util::ThreadPool& pool) {
-  const auto& g = bench_graph();
-  const auto m = rank::LinkMatrix::from_graph(g, 0.85);
-  const std::size_t n = m.dimension();
-  std::vector<double> a(n, 1.0);
-  std::vector<double> b(n);
-  std::vector<double> forcing(n, 0.15);
-  rank::SweepScratch scratch;
-  rank::WorklistOptions wopts;
-  wopts.epsilon = 1e-7;
-  wopts.full_interval = 0;
-  rank::WorklistState wstate;
-  for (int warm = 0; warm < 200; ++warm) {
-    auto stats =
-        m.sweep_and_residual_worklist(a, b, forcing, scratch, wstate, wopts, pool);
-    std::swap(a, b);
-    if (stats.l1_delta == 0.0) break;
-  }
-  state.counters["pool_threads"] = static_cast<double>(pool.size());
-  std::size_t tick = 0;
-  for (auto _ : state) {
-    const double delta = (tick++ & 1) ? -1e-6 : 1e-6;
-    for (std::size_t j = 0; j < 32; ++j) {
-      const std::size_t row = (j * 1543) % n;
-      forcing[row] += delta;
-      wstate.mark_forcing_dirty(row);
-    }
-    auto stats =
-        m.sweep_and_residual_worklist(a, b, forcing, scratch, wstate, wopts, pool);
-    benchmark::DoNotOptimize(stats.l1_delta);
-    std::swap(a, b);
-  }
-  state.counters["rows_per_sweep"] =
-      wstate.sweeps == 0 ? 0.0
-                         : static_cast<double>(wstate.rows_computed) /
-                               static_cast<double>(wstate.sweeps);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(m.num_entries()));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -275,8 +229,26 @@ void register_pooled_benchmarks(const std::vector<unsigned>& thread_list) {
     };
     reg("BM_SpmvSweepFused", BM_SpmvSweepFused);
     reg("BM_WorklistDenseFull", BM_WorklistDenseFull);
-    reg("BM_WorklistContracted", BM_WorklistContracted);
   }
+}
+
+/// solve_open_system's loop, sweeping a ping-pong pair with the worklist
+/// kernel; returns the final rank vector.
+std::vector<double> worklist_solve(const rank::LinkMatrix& m,
+                                   std::span<const double> forcing,
+                                   const rank::SolveOptions& opts,
+                                   util::ThreadPool& pool) {
+  std::vector<double> cur(m.dimension(), 0.0);
+  std::vector<double> nxt(m.dimension(), 0.0);
+  rank::SweepScratch scratch;
+  rank::WorklistState state;
+  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
+    const double delta =
+        m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool).l1_delta;
+    std::swap(cur, nxt);
+    if (delta <= opts.epsilon) break;
+  }
+  return cur;
 }
 
 /// Solve a small graph dense and with the worklist kernel on 1- and
@@ -297,11 +269,7 @@ int run_determinism_check(std::uint32_t pages) {
     auto dense = rank::solve_open_system(m, forcing, {}, sopts, pool);
     solutions.push_back(std::move(dense.ranks));
     names.push_back("dense/t" + std::to_string(threads));
-    rank::WorklistOptions wopts;  // epsilon 0: exact mode
-    rank::WorklistState wstate;
-    auto sparse = rank::solve_open_system_worklist(m, forcing, {}, sopts, wopts,
-                                                   wstate, pool);
-    solutions.push_back(std::move(sparse.ranks));
+    solutions.push_back(worklist_solve(m, forcing, sopts, pool));
     names.push_back("worklist/t" + std::to_string(threads));
   }
 

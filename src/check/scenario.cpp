@@ -299,6 +299,12 @@ Scenario Scenario::parse(std::istream& in) {
     throw std::runtime_error("Scenario::parse: " + what + " on line " +
                              std::to_string(line_no));
   };
+  // Boolean header keys are written as 0 or 1; any other token is rejected.
+  const auto read_flag = [&](std::istringstream& fields, const std::string& key) {
+    std::string flag;
+    if (!(fields >> flag) || (flag != "0" && flag != "1")) fail("bad " + key);
+    return flag == "1";
+  };
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
@@ -374,22 +380,15 @@ Scenario Scenario::parse(std::istream& in) {
     } else if (key == "latency_jitter") {
       if (!(fields >> s.latency_jitter)) fail("bad latency_jitter");
     } else if (key == "reliable") {
-      int flag = 0;
-      if (!(fields >> flag)) fail("bad reliable");
-      s.reliable = flag != 0;
+      s.reliable = read_flag(fields, key);
     } else if (key == "worklist") {
       // Traces from before the engine had one sweep path chose it here;
       // the value is checked and ignored.
-      int flag = 0;
-      if (!(fields >> flag)) fail("bad worklist");
+      (void)read_flag(fields, key);
     } else if (key == "serve") {
-      int flag = 0;
-      if (!(fields >> flag)) fail("bad serve");
-      s.serve = flag != 0;
+      s.serve = read_flag(fields, key);
     } else if (key == "recovery") {
-      int flag = 0;
-      if (!(fields >> flag)) fail("bad recovery");
-      s.recovery = flag != 0;
+      s.recovery = read_flag(fields, key);
     } else if (key == "stability_epsilon") {
       if (!(fields >> s.stability_epsilon)) fail("bad stability_epsilon");
     } else if (key == "warm_start_scale") {

@@ -603,10 +603,6 @@ void DistributedRanking::fire(const Event& ev) {
     case Event::Kind::kStep:
       run_step(ev.group);
       return;
-    case Event::Kind::kArrive:
-      if (live) arrive(ev.group, ev.link, slices_[ev.ref].slice);
-      release_slice(ev.ref);
-      return;
     case Event::Kind::kDeliver:
       if (live) deliver(ev.group, ev.link, ev.epoch, slices_[ev.ref].slice);
       release_slice(ev.ref);
@@ -681,7 +677,6 @@ void DistributedRanking::enqueue(std::uint32_t link, const YSlice& slice) {
 
 void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t link,
                                     const YSlice& slice) {
-  const std::uint32_t dst = links_.dst(link);
   const std::uint64_t records = slice.record_count;
   ++messages_sent_;
   records_sent_ += records;
@@ -693,99 +688,80 @@ void DistributedRanking::send_slice(std::uint32_t src, std::uint32_t link,
     obs_.slice_records->add(records);
   }
 
-  if (!reliable_) {
-    // The paper's fire-and-forget channel (bit-compatible with the
-    // pre-reliability engine: one loss draw per send, commit on delivery).
-    // The loss draw always comes first; the fault plane draws from its own
-    // RNG and only while a cut is active, so the loss stream never shifts.
-    const bool pass_loss = loss_.delivered();
-    const bool pass_cut = fault_plane_.deliver(src, dst);
-    if (!pass_cut && obs_.partition_drops != nullptr) ++*obs_.partition_drops;
-    if (!pass_loss || !pass_cut) {
-      ++messages_lost_;
-      if (obs_.messages_lost != nullptr) ++*obs_.messages_lost;
-      return;
-    }
-    if (opts_.send_threshold > 0.0) groups_[src]->commit_sent(link, slice);
-    const double delay = delivery_delay(src, dst, link);
-    if (opts_.overlay != nullptr) {
-      const std::uint64_t hops = records * hops_[link];
-      record_hops_ += hops;
-      if (obs_.record_hops != nullptr) *obs_.record_hops += hops;
-    }
-    if (opts_.tracer != nullptr) {
-      opts_.tracer->complete(obs::names::kTraceMsgFlight, queue_.now(), delay, dst,
-                             {}, static_cast<double>(records));
-    }
-    if (delay <= 0.0) {
-      arrive(src, link, slice);
-    } else {
-      // The slice lands in the inbox when the event fires — unless churn
-      // rebuilt the wiring meanwhile (its link is stale, so it is dropped;
-      // with no retransmission that loss is repaired by the sender's next
-      // step).
-      queue_.schedule_in(delay, Event{.kind = Event::Kind::kArrive,
-                                      .group = src,
-                                      .link = link,
-                                      .ref = hold(slice),
-                                      .generation = generation_});
-    }
-    return;
-  }
-
-  // Reliable exchange: stamp an epoch, buffer the payload if retransmission
-  // is on (a fresh send supersedes the link's previous unacked slice — the
-  // buffer holds at most one slice per link), then transmit. Sends to a
-  // suspected peer still go out: they double as probes.
-  const transport::Epoch epoch = reliable_->begin_send(pair_slot(src, link));
+  // The paper's fire-and-forget channel sends at epoch 0 and buffers
+  // nothing. The reliable exchange stamps an epoch and, with retransmission
+  // on, buffers the payload (a fresh send supersedes the link's previous
+  // unacked slice — the buffer holds at most one slice per link). Sends to
+  // a suspected peer still go out: they double as probes.
+  transport::Epoch epoch = 0;
   std::uint32_t held = kNone;
-  if (opts_.reliability.retransmit) {
-    held = hold(slice);
-    set_pending(link, held);
+  if (reliable_) {
+    epoch = reliable_->begin_send(pair_slot(src, link));
+    if (opts_.reliability.retransmit) {
+      held = hold(slice);
+      set_pending(link, held);
+    }
   }
-
-  const bool pass_loss = loss_.delivered();
-  const bool pass_cut = fault_plane_.deliver(src, dst);
-  if (!pass_cut && obs_.partition_drops != nullptr) ++*obs_.partition_drops;
-  const bool delivered = pass_loss && pass_cut;
-  if (!delivered) {
-    ++messages_lost_;
-    if (obs_.messages_lost != nullptr) ++*obs_.messages_lost;
-  } else {
+  if (transmit(src, link, epoch, slice, held, obs::names::kTraceMsgFlight)) {
     if (opts_.send_threshold > 0.0 && !opts_.reliability.retransmit) {
-      // Without retransmission the loss draw above is the only delivery
-      // knowledge; commit eagerly on it, exactly like fire-and-forget.
-      // (With retransmission the commit happens on ack instead.)
+      // Without retransmission the loss draw is the only delivery
+      // knowledge; delta sending commits eagerly on it. (With
+      // retransmission the commit happens on ack instead.)
       groups_[src]->commit_sent(link, slice);
     }
-    const double delay = delivery_delay(src, dst, link);
     if (opts_.overlay != nullptr) {
       const std::uint64_t hops = records * hops_[link];
       record_hops_ += hops;
       if (obs_.record_hops != nullptr) *obs_.record_hops += hops;
-    }
-    if (opts_.tracer != nullptr) {
-      opts_.tracer->complete(obs::names::kTraceMsgFlight, queue_.now(), delay, dst,
-                             {}, static_cast<double>(records));
-    }
-    if (delay <= 0.0) {
-      deliver(src, link, epoch, slice);
-    } else {
-      // The retransmit buffer doubles as the in-flight payload.
-      if (held == kNone) {
-        held = hold(slice);
-      } else {
-        ++slices_[held].refs;
-      }
-      queue_.schedule_in(delay, Event{.kind = Event::Kind::kDeliver,
-                                      .group = src,
-                                      .link = link,
-                                      .ref = held,
-                                      .epoch = epoch,
-                                      .generation = generation_});
     }
   }
   if (opts_.reliability.retransmit) schedule_retransmit(src, link, epoch);
+}
+
+// Defined inline so a fire-and-forget send stays one call deep: at K = 1000
+// a solve is mostly per-message exchange work.
+inline bool DistributedRanking::transmit(std::uint32_t src, std::uint32_t link,
+                                         transport::Epoch epoch, const YSlice& slice,
+                                         std::uint32_t held, std::string_view trace_name) {
+  const std::uint32_t dst = links_.dst(link);
+  // The loss draw always comes first; the fault plane draws from its own
+  // RNG and only while a cut is active, so the loss stream never shifts.
+  const bool pass_loss = loss_.delivered();
+  const bool pass_cut = fault_plane_.deliver(src, dst);
+  if (!pass_cut && obs_.partition_drops != nullptr) ++*obs_.partition_drops;
+  if (!pass_loss || !pass_cut) {
+    ++messages_lost_;
+    if (obs_.messages_lost != nullptr) ++*obs_.messages_lost;
+    return false;
+  }
+  const double delay = delivery_delay(src, dst, link);
+  if (opts_.tracer != nullptr) {
+    opts_.tracer->complete(trace_name, queue_.now(), delay, dst, {},
+                           static_cast<double>(slice.record_count));
+  }
+  if (delay <= 0.0) {
+    // The delivery holds its own reference: an ack processed during it may
+    // drop the retransmit buffer.
+    if (held != kNone) ++slices_[held].refs;
+    deliver(src, link, epoch, slice);
+    if (held != kNone) release_slice(held);
+    return true;
+  }
+  // The slice reaches its receiver when the event fires — unless churn
+  // rebuilt the wiring meanwhile (its link is stale, so it is dropped).
+  // The retransmit buffer doubles as the in-flight payload.
+  if (held == kNone) {
+    held = hold(slice);
+  } else {
+    ++slices_[held].refs;
+  }
+  queue_.schedule_in(delay, Event{.kind = Event::Kind::kDeliver,
+                                  .group = src,
+                                  .link = link,
+                                  .ref = held,
+                                  .epoch = epoch,
+                                  .generation = generation_});
+  return true;
 }
 
 DistributedRanking::PairSlot DistributedRanking::pair_slot(std::uint32_t src,
@@ -797,15 +773,6 @@ DistributedRanking::PairSlot DistributedRanking::pair_slot(std::uint32_t src,
     lp.reverse = links_.find(dst, src);
   }
   return lp.slot;
-}
-
-void DistributedRanking::arrive(std::uint32_t src, std::uint32_t link,
-                                const YSlice& slice) {
-  const std::uint32_t dst = links_.dst(link);
-  const YSlice* const arrived = frame_survives(src, dst, 0, link, slice);
-  if (arrived == nullptr) return;
-  if (obs_.deliveries != nullptr) ++*obs_.deliveries;
-  enqueue(link, *arrived);
 }
 
 void DistributedRanking::deliver(std::uint32_t src, std::uint32_t link,
@@ -822,6 +789,18 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t link,
   // the sender's retransmit timer re-ships it).
   const YSlice* const arrived = frame_survives(src, dst, epoch, link, slice);
   if (arrived == nullptr) return;
+  if (reliable_) {
+    receive_reliable(src, link, epoch, *arrived);
+    return;
+  }
+  // The paper's channel: no epochs, no acks.
+  if (obs_.deliveries != nullptr) ++*obs_.deliveries;
+  enqueue(link, *arrived);
+}
+
+void DistributedRanking::receive_reliable(std::uint32_t src, std::uint32_t link,
+                                          transport::Epoch epoch, const YSlice& arrived) {
+  const std::uint32_t dst = links_.dst(link);
   // The link carried this slice, so its first send filled its pair slot.
   const LinkPair lp = link_pairs_[link];
   // Receiving data from src is evidence src is alive: clear any suspicion
@@ -837,7 +816,7 @@ void DistributedRanking::deliver(std::uint32_t src, std::uint32_t link,
   const bool fresh = reliable_->accept(lp.slot, epoch);
   if (fresh) {
     if (obs_.deliveries != nullptr) ++*obs_.deliveries;
-    enqueue(link, *arrived);
+    enqueue(link, arrived);
   } else if (obs_.duplicates_rejected != nullptr) {
     ++*obs_.duplicates_rejected;
   }
@@ -989,33 +968,7 @@ void DistributedRanking::on_retransmit_timer(std::uint32_t src, std::uint32_t li
     *obs_.retransmit_records += records;
     *obs_.retransmit_bytes += slice_wire_bytes(records);
   }
-  const bool pass_loss = loss_.delivered();
-  const bool pass_cut = fault_plane_.deliver(src, dst);
-  if (!pass_cut && obs_.partition_drops != nullptr) ++*obs_.partition_drops;
-  if (!pass_loss || !pass_cut) {
-    ++messages_lost_;
-    if (obs_.messages_lost != nullptr) ++*obs_.messages_lost;
-  } else {
-    const double delay = delivery_delay(src, dst, link);
-    if (opts_.tracer != nullptr) {
-      opts_.tracer->complete(obs::names::kTraceRetransmit, queue_.now(), delay, dst,
-                             {}, static_cast<double>(records));
-    }
-    // The delivery holds its own reference: an ack processed during it may
-    // drop the retransmit buffer.
-    ++slices_[held].refs;
-    if (delay <= 0.0) {
-      deliver(src, link, epoch, slices_[held].slice);
-      release_slice(held);
-    } else {
-      queue_.schedule_in(delay, Event{.kind = Event::Kind::kDeliver,
-                                      .group = src,
-                                      .link = link,
-                                      .ref = held,
-                                      .epoch = epoch,
-                                      .generation = generation_});
-    }
-  }
+  transmit(src, link, epoch, slices_[held].slice, held, obs::names::kTraceRetransmit);
   schedule_retransmit(src, link, epoch);
 }
 

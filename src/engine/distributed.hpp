@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -379,15 +380,14 @@ class DistributedRanking {
   struct Event {
     enum class Kind : std::uint8_t {
       kStep,     ///< `group` runs a loop step
-      kArrive,   ///< fire-and-forget: slice `ref` lands in the inbox of `link`'s receiver
-      kDeliver,  ///< reliable: slice `ref`, stamped `epoch`, reaches `link`'s receiver
+      kDeliver,  ///< slice `ref`, stamped `epoch` (0 without epochs), reaches `link`'s receiver
       kAck,      ///< cumulative ack `epoch` for pair `ref` reaches its sender `group`
       kTimer,    ///< retransmit timer for `epoch` on `link`
     };
     Kind kind = Kind::kStep;
     std::uint32_t group = 0;  ///< step: the ranker; otherwise the sender
     std::uint32_t link = 0;   ///< a link of the wiring at `generation`
-    /// arrive/deliver: the pooled slice the event holds. ack: the reliable
+    /// deliver: the pooled slice the event holds. ack: the reliable
     /// pair of `link` — pair slots outlive link ids, so an ack from before
     /// a churn rebuild still reaches its pair's epochs.
     std::uint32_t ref = 0;
@@ -434,9 +434,21 @@ class DistributedRanking {
   /// The link's reliable pair slot, assigned (and its reverse link looked
   /// up) on the link's first send.
   [[nodiscard]] PairSlot pair_slot(std::uint32_t src, std::uint32_t link);
-  void arrive(std::uint32_t src, std::uint32_t link, const YSlice& slice);
+  /// Put one Y message on the channel — a fresh send or a retransmit:
+  /// draw loss, then the fault plane's cut, then the delay, and deliver now
+  /// or schedule the delivery. `held` is the slice's pool buffer (the
+  /// link's retransmit buffer), or kNone to copy `slice` if it must wait.
+  /// Returns whether the message survived loss and cut.
+  bool transmit(std::uint32_t src, std::uint32_t link, transport::Epoch epoch,
+                const YSlice& slice, std::uint32_t held, std::string_view trace_name);
+  /// The channel hands `slice` to `link`'s receiver: the corruption
+  /// round-trip, then (with epochs) the stale-slice filter and the ack.
   void deliver(std::uint32_t src, std::uint32_t link, transport::Epoch epoch,
                const YSlice& slice);
+  /// The reliable receiver's part of a delivery: liveness evidence, the
+  /// stale-epoch filter and the cumulative ack.
+  void receive_reliable(std::uint32_t src, std::uint32_t link, transport::Epoch epoch,
+                        const YSlice& arrived);
   void apply_ack(const Event& ack);
   void schedule_retransmit(std::uint32_t src, std::uint32_t link, transport::Epoch epoch);
   void on_retransmit_timer(std::uint32_t src, std::uint32_t link, transport::Epoch epoch);

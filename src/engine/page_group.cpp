@@ -14,10 +14,6 @@ namespace {
 
 constexpr double kNever = std::numeric_limits<double>::quiet_NaN();
 
-/// Exact mode (ε = 0): rows are skipped only when their inputs are bitwise
-/// unchanged, so every sweep equals the dense kernel's bit for bit.
-constexpr rank::WorklistOptions kExact{};
-
 double value_of(std::uint64_t word) noexcept { return std::bit_cast<double>(word); }
 
 /// Finite and non-negative (NaN fails both comparisons).
@@ -170,7 +166,6 @@ PageGroup::PageGroup(const graph::WebGraph& g, std::vector<graph::PageId> member
     beta_e_[i] = beta * (e_local.empty() ? 1.0 : e_local[i]);
   }
   ranks_.assign(members_.size(), 0.0);  // R0 = 0 (the proofs' S = 0)
-  x_.assign(members_.size(), 0.0);
   forcing_ = beta_e_;
   scratch_.assign(members_.size(), 0.0);
 }
@@ -187,7 +182,6 @@ void PageGroup::set_ranks(std::span<const double> ranks) {
 
 void PageGroup::reset_state() {
   std::fill(ranks_.begin(), ranks_.end(), 0.0);
-  std::fill(x_.begin(), x_.end(), 0.0);
   forcing_ = beta_e_;
   last_sweep_delta_ = 0.0;
   wl_state_.reset();
@@ -218,13 +212,12 @@ bool PageGroup::receives(std::uint32_t link) const noexcept {
 }
 
 void PageGroup::apply_slot(std::size_t at, double value) {
-  // X(v) = Σ over (link, slot) of the latest received contribution.
-  // Maintain the dense sum incrementally: each incoming value supersedes the
-  // stored value of its slot (NaN = never received, which counts as 0).
+  // X(v) = Σ over (link, slot) of the latest received contribution, kept
+  // inside forcing = βE + X incrementally: each incoming value supersedes
+  // the stored value of its slot (NaN = never received, which counts as 0).
   const std::uint32_t local = links_->slot_page_[at];
   double& stored = links_->received_[at];
   const double delta = value - (std::isnan(stored) ? 0.0 : stored);
-  x_[local] += delta;
   forcing_[local] += delta;
   stored = value;
   // A bitwise-unchanged forcing slot (delta exactly 0) cannot change the
@@ -289,7 +282,6 @@ void PageGroup::scale_received(std::uint32_t source_group, double factor) {
     const std::uint32_t local = links_->slot_page_[at];
     const double decayed = value * factor;
     const double delta = decayed - value;
-    x_[local] += delta;
     forcing_[local] += delta;
     value = decayed;
     if (delta != 0.0) wl_state_.mark_forcing_dirty(local);
@@ -334,7 +326,6 @@ bool PageGroup::install_worklist_carry(
       util::ThreadPool::num_grains(dim, matrix_.sweep_grain()), 0);
   wl_state_.active_grains.clear();
   wl_state_.primed = true;
-  wl_state_.sweeps_since_dense = 0;
   wl_state_.pair_a = ranks_.data();
   wl_state_.pair_b = scratch_.data();
   // Sources whose 1/d(u) weight changed: their propagated contribution is
@@ -381,8 +372,7 @@ void PageGroup::sweep_once(util::ThreadPool& pool) {
 double PageGroup::sweep_in_place(util::ThreadPool& pool) {
   const double delta = matrix_
                            .sweep_and_residual_worklist(ranks_, scratch_, forcing_,
-                                                        sweep_scratch_, wl_state_,
-                                                        kExact, pool)
+                                                        sweep_scratch_, wl_state_, pool)
                            .l1_delta;
   std::swap(ranks_, scratch_);
   return delta;

@@ -382,8 +382,7 @@ class PageGroup {
   rank::LinkMatrix matrix_;
   std::vector<double> beta_e_;          // βE(v) per local page
   std::vector<double> ranks_;           // R, local
-  std::vector<double> x_;               // X, local (sum of latest slices)
-  std::vector<double> forcing_;         // βE + X, kept in sync with x_
+  std::vector<double> forcing_;         // βE + X (X = sum of latest slices)
   std::vector<double> scratch_;         // sweep target
   rank::SweepScratch sweep_scratch_;    // contribution vector + partials
   rank::WorklistState wl_state_;        // frontier bitmaps, pinned to ranks_/scratch_

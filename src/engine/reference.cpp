@@ -70,7 +70,7 @@ std::size_t centralized_iterations_to_error(const graph::WebGraph& g, double alp
   const double ref_norm = util::l1_norm(reference);
 
   for (std::size_t it = 1; it <= max_iterations; ++it) {
-    (void)rank::open_system_sweep(matrix, ranks, next, forcing, scratch, pool);
+    (void)matrix.sweep_and_residual(ranks, next, forcing, scratch, pool);
     std::swap(ranks, next);
     if (util::l1_distance(ranks, reference) <= threshold * ref_norm) return it;
   }

@@ -217,19 +217,24 @@ inline std::uint64_t bits_of(double v) noexcept {
   return std::bit_cast<std::uint64_t>(v);
 }
 
+// Push–pull switch: scatter dirty bits along out-edges only while the
+// changed sources' out-edges are at most this fraction of all edges; above
+// it a dense pull sweep is cheaper than the scatter.
+constexpr double kPushDensity = 0.125;
+
 }  // namespace
 
-WorklistSweepStats LinkMatrix::sweep_and_residual_worklist(
-    std::span<const double> in, std::span<double> out,
-    std::span<const double> forcing, SweepScratch& scratch,
-    WorklistState& state, const WorklistOptions& opts, util::ThreadPool& pool,
-    bool force_dense) const {
+SweepStats LinkMatrix::sweep_and_residual_worklist(std::span<const double> in,
+                                                   std::span<double> out,
+                                                   std::span<const double> forcing,
+                                                   SweepScratch& scratch,
+                                                   WorklistState& state,
+                                                   util::ThreadPool& pool) const {
   const std::size_t dim = dimension();
   assert(in.size() == dim && out.size() == dim);
   assert(forcing.empty() || forcing.size() == dim);
   assert(in.data() != out.data());
-  WorklistSweepStats stats;
-  stats.dense = true;
+  SweepStats stats;
   if (dim == 0) return stats;
 
   const std::size_t words = (dim + 63) / 64;
@@ -265,11 +270,8 @@ WorklistSweepStats LinkMatrix::sweep_and_residual_worklist(
   std::uint64_t* const dirty = state.dirty.data();
   std::uint64_t* const src_active = state.src_active.data();
   const std::uint64_t* const out_off = out_offsets_.data();
-  const double eps = opts.epsilon;
 
-  bool dense = force_dense || !state.primed ||
-               (opts.full_interval > 0 &&
-                state.sweeps_since_dense + 1 >= opts.full_interval);
+  bool dense = !state.primed;
 
   // A contracted frontier costs less to sweep than a fork-join wake-up, so
   // when the actual work (rows or edges, per the caller's hint) is below
@@ -290,7 +292,7 @@ WorklistSweepStats LinkMatrix::sweep_and_residual_worklist(
   if (!dense) {
     // Phase A (frontier pull side): exactly the rows whose value changed
     // last sweep — the differ bits — can have a new contribution. Refresh
-    // those lazily and tally which moved enough to propagate. Grains are
+    // those lazily and tally the ones that changed bitwise. Grains are
     // 64-aligned, so each active grain owns whole bitmap words.
     std::fill(state.dirty.begin(), state.dirty.end(), 0);
     std::fill(state.src_active.begin(), state.src_active.end(), 0);
@@ -324,12 +326,7 @@ WorklistSweepStats LinkMatrix::sweep_and_residual_worklist(
               bits &= bits - 1;
               const std::size_t u = w * 64 + static_cast<std::size_t>(b);
               const double c = in[u] * sw[u];
-              // Exact mode propagates any bitwise change; thresholded mode
-              // propagates once the drift since the last propagated value
-              // exceeds epsilon (Gauss–Southwell-style accumulation).
-              const bool moved = eps == 0.0 ? bits_of(c) != bits_of(contrib[u])
-                                            : std::fabs(c - contrib[u]) > eps;
-              if (moved) {
+              if (bits_of(c) != bits_of(contrib[u])) {
                 contrib[u] = c;
                 active |= std::uint64_t{1} << b;
                 edges += out_off[u + 1] - out_off[u];
@@ -348,7 +345,7 @@ WorklistSweepStats LinkMatrix::sweep_and_residual_worklist(
       active_edges += state.grain_edges[g];
     }
     if (static_cast<double>(active_edges) >
-        opts.push_density * static_cast<double>(num_entries())) {
+        kPushDensity * static_cast<double>(num_entries())) {
       dense = true;
     } else {
       // Push phase: scatter dirty bits along out-edges of active sources.
@@ -402,9 +399,8 @@ WorklistSweepStats LinkMatrix::sweep_and_residual_worklist(
     // Sparse sweep: recompute dirty rows, copy rows where the buffers still
     // disagree, skip the rest (their out already bitwise equals what a
     // recompute would produce — see DESIGN.md §6 for the induction). Skipped
-    // rows have an exactly-zero residual in exact mode, and partials of
-    // untouched grains stay +0.0, so the grain-order combine is bitwise the
-    // dense combine.
+    // rows have an exactly-zero residual, and partials of untouched grains
+    // stay +0.0, so the grain-order combine is bitwise the dense combine.
     for_grains_subset(
         computed + copied,
         [&](std::size_t g, std::size_t begin, std::size_t end) {
@@ -447,8 +443,6 @@ WorklistSweepStats LinkMatrix::sweep_and_residual_worklist(
 
     state.rows_computed += computed;
     state.rows_copied += copied;
-    ++state.sweeps_since_dense;
-    stats.dense = false;
   } else {
     // Dense sweep: bitwise-identical row loop to sweep_and_residual, plus
     // refreshing every contribution and rebuilding the differ bitmap.
@@ -482,7 +476,6 @@ WorklistSweepStats LinkMatrix::sweep_and_residual_worklist(
         });
     state.rows_computed += dim;
     ++state.dense_sweeps;
-    state.sweeps_since_dense = 0;
     state.primed = true;
   }
 

@@ -14,7 +14,7 @@
 // then each row gathers contrib over its sources — 12 bytes/edge (4B source
 // index + 8B gather). sweep_and_residual is the dense kernel and the
 // bitwise reference; sweep_and_residual_worklist recomputes only the rows
-// whose inputs moved and, at ε = 0, matches it bit for bit. See DESIGN.md
+// whose inputs moved and matches it bit for bit. See DESIGN.md
 // "Kernel layout".
 #pragma once
 
@@ -43,37 +43,14 @@ struct SweepScratch {
   std::vector<double> partial_linf;
 };
 
-/// Tuning knobs of the residual-driven worklist kernel (DESIGN.md §6).
-struct WorklistOptions {
-  /// Contribution-change threshold: a source whose contribution moved by
-  /// ≤ epsilon since it last propagated does not wake its destinations.
-  /// 0 means *exact* mode — skip only bitwise-unchanged inputs — which
-  /// keeps every sweep bitwise-identical to the dense kernel.
-  double epsilon = 0.0;
-  /// Force a dense sweep every N worklist sweeps to flush sub-epsilon
-  /// drift. 0 disables periodic refresh (sound only when epsilon == 0).
-  std::uint32_t full_interval = 64;
-  /// Push–pull switch: scatter dirty bits along out-edges only while the
-  /// active sources' out-edges are below this fraction of all edges;
-  /// above it a dense pull sweep is cheaper than the scatter.
-  double push_density = 0.125;
-};
-
-/// Result of one worklist sweep: the residual norms plus whether the sweep
-/// ran dense (all rows recomputed — residual exact even when epsilon > 0).
-struct WorklistSweepStats : SweepStats {
-  bool dense = false;
-};
-
 /// Persistent frontier state for sweep_and_residual_worklist. Owned by the
 /// caller (one per ping-pong buffer pair); reset() forces the next sweep
 /// dense, which re-primes every derived bitmap. All bitmaps are 64 rows per
 /// word, and sweep grains are 64-aligned so parallel grains own whole words.
 struct WorklistState {
-  /// Last *propagated* contribution per source: updated when a source's
-  /// change exceeds epsilon (always, in a dense sweep). Rows recompute by
-  /// gathering these, so a sub-epsilon change is invisible until the next
-  /// dense sweep — bounded drift, zero drift when epsilon == 0.
+  /// Contribution x[u]·α/d(u) per source as of its last change: a source
+  /// whose value changed bitwise refreshes it, and rows recompute by
+  /// gathering these.
   std::vector<double> contrib;
   std::vector<std::uint64_t> differ;         // out-buffer != in-buffer, per row
   std::vector<std::uint64_t> dirty;          // rows to recompute (per-sweep scratch)
@@ -82,7 +59,6 @@ struct WorklistState {
   std::vector<std::uint32_t> active_grains;  // frontier grain ids (scratch)
   std::vector<std::uint64_t> grain_edges;    // per-grain active out-edge tallies
   bool primed = false;
-  std::uint32_t sweeps_since_dense = 0;
   // The buffer pair the differ bitmap talks about; a sweep on any other
   // pair auto-unprimes. std::swap of the vectors keeps the pointers valid.
   const void* pair_a = nullptr;
@@ -99,7 +75,6 @@ struct WorklistState {
   /// restore, group rebuild).
   void reset() noexcept {
     primed = false;
-    sweeps_since_dense = 0;
     pair_a = nullptr;
     pair_b = nullptr;
   }
@@ -139,20 +114,20 @@ class LinkMatrix {
                                 SweepScratch& scratch, util::ThreadPool& pool) const;
 
   /// Residual-driven worklist sweep: like sweep_and_residual, but rows whose
-  /// inputs did not change beyond opts.epsilon since they last recomputed
-  /// are skipped (their value is carried over), and when the frontier is
-  /// small the dirty set is built by *pushing* along out-edges of active
-  /// sources instead of scanning all rows. With epsilon == 0 every sweep —
-  /// values and residual — is bitwise-identical to sweep_and_residual for
-  /// any pool size; with epsilon > 0 only dense sweeps (periodic, or when
-  /// force_dense is set) report an exact residual. `state` must persist
-  /// alongside the in/out ping-pong pair; the kernel unprimes itself (one
-  /// dense sweep) whenever it sees an unfamiliar pair.
-  WorklistSweepStats sweep_and_residual_worklist(
-      std::span<const double> in, std::span<double> out,
-      std::span<const double> forcing, SweepScratch& scratch,
-      WorklistState& state, const WorklistOptions& opts, util::ThreadPool& pool,
-      bool force_dense = false) const;
+  /// inputs are bitwise unchanged since they last recomputed are skipped
+  /// (their value is carried over), and the dirty set is built by *pushing*
+  /// along out-edges of the sources that changed instead of scanning all
+  /// rows. Every sweep — values and residual — is bitwise-identical to
+  /// sweep_and_residual for any pool size. It runs dense only while `state`
+  /// is unprimed, or when the changed sources' out-edges exceed an eighth
+  /// of all edges (then a pull sweep is cheaper than the scatter). `state`
+  /// must persist alongside the in/out ping-pong pair; the kernel unprimes
+  /// itself (one dense sweep) whenever it sees an unfamiliar pair.
+  SweepStats sweep_and_residual_worklist(std::span<const double> in,
+                                         std::span<double> out,
+                                         std::span<const double> forcing,
+                                         SweepScratch& scratch, WorklistState& state,
+                                         util::ThreadPool& pool) const;
 
   /// Rows per parallel grain of sweep kernels (~64KB of row data each,
   /// rounded up to a multiple of 64 so each grain owns whole bitmap words);

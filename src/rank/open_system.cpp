@@ -1,21 +1,10 @@
 #include "rank/open_system.hpp"
 
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
 namespace p2prank::rank {
-
-SweepStats open_system_sweep(const LinkMatrix& A, std::span<const double> in,
-                             std::span<double> out, std::span<const double> forcing,
-                             SweepScratch& scratch, util::ThreadPool& pool) {
-  assert(in.size() == A.dimension());
-  assert(out.size() == A.dimension());
-  assert(forcing.size() == A.dimension());
-  assert(in.data() != out.data());
-  return A.sweep_and_residual(in, out, forcing, scratch, pool);
-}
 
 SolveResult solve_open_system(const LinkMatrix& A, std::span<const double> forcing,
                               std::span<const double> initial,
@@ -38,7 +27,7 @@ SolveResult solve_open_system(const LinkMatrix& A, std::span<const double> forci
     // Fused sweep: the L1 residual is accumulated inside the sweep, so
     // there is no second full pass over R per iteration.
     const double delta =
-        open_system_sweep(A, result.ranks, next, forcing, scratch, pool).l1_delta;
+        A.sweep_and_residual(result.ranks, next, forcing, scratch, pool).l1_delta;
     std::swap(result.ranks, next);
     ++result.iterations;
     result.final_delta = delta;
@@ -46,52 +35,6 @@ SolveResult solve_open_system(const LinkMatrix& A, std::span<const double> forci
     if (delta <= opts.epsilon) {
       result.converged = true;
       break;
-    }
-  }
-  return result;
-}
-
-SolveResult solve_open_system_worklist(const LinkMatrix& A,
-                                       std::span<const double> forcing,
-                                       std::span<const double> initial,
-                                       const SolveOptions& opts,
-                                       const WorklistOptions& wl,
-                                       WorklistState& state,
-                                       util::ThreadPool& pool) {
-  const std::size_t n = A.dimension();
-  if (forcing.size() != n) {
-    throw std::invalid_argument("solve_open_system_worklist: forcing size mismatch");
-  }
-  if (!initial.empty() && initial.size() != n) {
-    throw std::invalid_argument("solve_open_system_worklist: initial size mismatch");
-  }
-
-  SolveResult result;
-  result.ranks.assign(initial.begin(), initial.end());
-  if (result.ranks.empty()) result.ranks.assign(n, 0.0);
-  std::vector<double> next(n, 0.0);
-  SweepScratch scratch;
-
-  bool confirm = false;
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    const WorklistSweepStats stats = A.sweep_and_residual_worklist(
-        result.ranks, next, forcing, scratch, state, wl, pool,
-        /*force_dense=*/confirm);
-    std::swap(result.ranks, next);
-    ++result.iterations;
-    result.final_delta = stats.l1_delta;
-    if (opts.record_residuals) result.residual_history.push_back(stats.l1_delta);
-    if (stats.l1_delta <= opts.epsilon) {
-      // Sparse sweeps under-report the residual when epsilon > 0 (skipped
-      // rows claim zero); accept only a dense sweep's exact residual and
-      // force one to confirm otherwise.
-      if (stats.dense || wl.epsilon == 0.0) {
-        result.converged = true;
-        break;
-      }
-      confirm = true;
-    } else {
-      confirm = false;
     }
   }
   return result;

@@ -15,14 +15,6 @@
 
 namespace p2prank::rank {
 
-/// One Jacobi sweep: out = A·in + forcing. `forcing` is βE + X (the caller
-/// composes it). in/out must not alias. Runs the fused contribution kernel
-/// and returns the sweep's L1/L∞ residual for free; `scratch` carries the
-/// contribution vector across calls (no per-sweep allocation).
-SweepStats open_system_sweep(const LinkMatrix& A, std::span<const double> in,
-                             std::span<double> out, std::span<const double> forcing,
-                             SweepScratch& scratch, util::ThreadPool& pool);
-
 /// Solve R = A·R + forcing from the given initial vector, iterating until
 /// the L1 delta is <= opts.epsilon or max_iterations is hit. `initial` may
 /// be empty (treated as the zero vector).
@@ -31,18 +23,6 @@ SweepStats open_system_sweep(const LinkMatrix& A, std::span<const double> in,
                                             std::span<const double> initial,
                                             const SolveOptions& opts,
                                             util::ThreadPool& pool);
-
-/// Worklist variant of solve_open_system: iterates with the residual-driven
-/// frontier kernel, carrying `state` across sweeps (and across calls, when
-/// the caller reuses the same buffers). With wl.epsilon == 0 the iterate
-/// sequence is bitwise-identical to solve_open_system; with wl.epsilon > 0
-/// convergence is only accepted at a dense sweep (a confirmation sweep is
-/// forced when a sparse residual first dips under opts.epsilon), so the
-/// reported final_delta is always an exact residual.
-[[nodiscard]] SolveResult solve_open_system_worklist(
-    const LinkMatrix& A, std::span<const double> forcing,
-    std::span<const double> initial, const SolveOptions& opts,
-    const WorklistOptions& wl, WorklistState& state, util::ThreadPool& pool);
 
 /// Convenience: uniform forcing βE with E(v) = e_value for all v, X = 0 —
 /// the whole-crawl "centralized open-system" reference of Section 5 (what

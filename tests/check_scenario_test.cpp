@@ -182,6 +182,28 @@ TEST(Scenario, LegacyWorklistKeyParsesAndReplaysToTheSameVerdict) {
   EXPECT_EQ(a.messages_sent, b.messages_sent);
 }
 
+// Boolean header keys take exactly 0 or 1: `reliable 7` or `serve -2` is a
+// corrupted trace, not a true flag. A later line overrides an earlier one,
+// so appending a key sets it.
+TEST(Scenario, BooleanKeysAcceptOnlyZeroOrOne) {
+  const std::string text = Scenario::from_seed(13).to_text();
+  for (const std::string key : {"reliable", "serve", "recovery", "worklist"}) {
+    const auto with = [&](const std::string& value) {
+      return text + key + ' ' + value + '\n';
+    };
+    for (const std::string bad : {"7", "-2", "2", "01", "yes", ""}) {
+      EXPECT_THROW((void)Scenario::parse_text(with(bad)), std::runtime_error)
+          << key << " '" << bad << "'";
+    }
+    EXPECT_NO_THROW((void)Scenario::parse_text(with("0"))) << key;
+    EXPECT_NO_THROW((void)Scenario::parse_text(with("1"))) << key;
+  }
+  EXPECT_TRUE(Scenario::parse_text(text + "reliable 1\n").reliable);
+  EXPECT_FALSE(Scenario::parse_text(text + "reliable 0\n").reliable);
+  EXPECT_TRUE(Scenario::parse_text(text + "serve 1\n").serve);
+  EXPECT_FALSE(Scenario::parse_text(text + "recovery 0\n").recovery);
+}
+
 // from_seed only pairs jitter with the reliable layer: jitter without epochs
 // would make stale reordered slices clobber newer X entries, which is the
 // hazard the regression test demonstrates — the fuzzer must not generate it

@@ -247,6 +247,30 @@ Observed dpr1_warm_start_incremental(std::size_t threads) {
   return observe(sim);
 }
 
+/// Epochs without retransmission: the reliable path's eager commit (delta
+/// sending commits on the loss draw, as fire-and-forget does), acks with no
+/// pending buffer, and jitter-reordered slices that the epoch filter drops.
+Observed dpr2_epochs_threshold_jitter(std::size_t threads) {
+  auto o = base(Algorithm::kDPR2);
+  o.delivery_probability = 0.8;
+  o.delivery_latency = 0.3;
+  o.latency_jitter = 0.4;
+  o.reliability.epochs = true;
+  o.send_threshold = 1e-6;
+  return run_engine(o, threads, 20.0);
+}
+
+/// Corruption on the fire-and-forget channel: every delivered frame takes
+/// the encode/corrupt/decode round-trip at epoch 0.
+Observed dpr1_corruption_fire(std::size_t threads) {
+  auto o = base(Algorithm::kDPR1);
+  o.delivery_probability = 0.9;
+  o.delivery_latency = 0.2;
+  return run_engine(o, threads, 20.0, [](DistributedRanking& sim) {
+    sim.set_corruption(0.05);
+  });
+}
+
 struct Scenario {
   const char* name;
   Observed (*run)(std::size_t threads);
@@ -285,6 +309,12 @@ const Scenario kScenarios[] = {
      {0xd71aa2e417b8667bULL, 6325, 401846, 0, 0}},
     {"dpr2_crash_churn", dpr2_crash_churn,
      {0x03926e3cbf09c43bULL, 6325, 401846, 0, 0}},
+    // Recorded before fire-and-forget and reliable sends shared one
+    // transmit path.
+    {"dpr2_epochs_threshold_jitter", dpr2_epochs_threshold_jitter,
+     {0x01abdaa17416e06bULL, 1511, 49575, 0, 1186}},
+    {"dpr1_corruption_fire", dpr1_corruption_fire,
+     {0x9c6c74d88ab756c8ULL, 1617, 103972, 0, 0}},
 };
 
 class EngineGolden : public ::testing::TestWithParam<std::size_t> {};

@@ -15,6 +15,7 @@
 #include "engine/distributed.hpp"
 #include "engine/reference.hpp"
 #include "graph/graph_builder.hpp"
+#include "graph/synthetic_web.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -178,6 +179,30 @@ TEST(PageGroup, SweepOnceIsOneJacobiStep) {
   EXPECT_DOUBLE_EQ(group.ranks()[1], kBeta);
   group.sweep_once(pool());
   EXPECT_DOUBLE_EQ(group.ranks()[0], kBeta + kAlpha * kBeta);
+}
+
+TEST(PageGroup, ConvergedGroupSweepsRecomputeNothing) {
+  // Under constant forcing, once R reaches its bitwise fixed point the
+  // frontier is empty: further sweeps run no dense pass and recompute no
+  // row, however many there are.
+  const auto g = graph::generate_synthetic_web(graph::google2002_config(2000, 9));
+  std::vector<graph::PageId> members(g.num_pages());
+  std::iota(members.begin(), members.end(), graph::PageId{0});
+  PageGroup group(g, std::move(members), kAlpha);
+  std::size_t sweeps = 0;
+  do {
+    group.sweep_once(pool());
+  } while (group.last_sweep_delta() != 0.0 && ++sweeps < 5000);
+  ASSERT_EQ(group.last_sweep_delta(), 0.0) << "no bitwise fixed point reached";
+
+  const std::vector<double> fixed(group.ranks().begin(), group.ranks().end());
+  const std::uint64_t dense = group.worklist_state().dense_sweeps;
+  const std::uint64_t rows = group.worklist_state().rows_computed;
+  for (int k = 0; k < 640; ++k) group.sweep_once(pool());
+  EXPECT_EQ(group.worklist_state().dense_sweeps, dense);
+  EXPECT_EQ(group.worklist_state().rows_computed, rows);
+  EXPECT_EQ(group.last_sweep_delta(), 0.0);
+  EXPECT_TRUE(std::equal(fixed.begin(), fixed.end(), group.ranks().begin()));
 }
 
 TEST(PageGroup, OuterStepCounter) {

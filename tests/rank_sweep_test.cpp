@@ -157,7 +157,7 @@ TEST(RankSweep, EmptyMatrix) {
   std::vector<double> none;
   test::multiply_oracle(m, {}, none);
   WorklistState state;
-  const auto wl = m.sweep_and_residual_worklist({}, none, {}, scratch, state, {}, pool);
+  const auto wl = m.sweep_and_residual_worklist({}, none, {}, scratch, state, pool);
   EXPECT_EQ(wl.l1_delta, 0.0);
 }
 
@@ -196,8 +196,7 @@ graph::WebGraph chain_graph(int pages, bool close_cycle) {
 /// Drive the dense and worklist kernels through the same ping-pong
 /// iteration — including a mid-run forcing change — and require bitwise
 /// identical values *and* residuals at every sweep, for pool sizes 1/2/8.
-void check_worklist_matches_dense(const LinkMatrix& m, std::size_t sweeps,
-                                  std::uint32_t full_interval) {
+void check_worklist_matches_dense(const LinkMatrix& m, std::size_t sweeps) {
   const std::size_t n = m.dimension();
   std::vector<double> base_forcing(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -222,8 +221,6 @@ void check_worklist_matches_dense(const LinkMatrix& m, std::size_t sweeps,
     }
   }
 
-  WorklistOptions wl;  // epsilon = 0: exact mode
-  wl.full_interval = full_interval;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
     const std::string label = "worklist pool size " + std::to_string(threads);
@@ -237,8 +234,8 @@ void check_worklist_matches_dense(const LinkMatrix& m, std::size_t sweeps,
         f[n / 2] += 0.25;
         state.mark_forcing_dirty(n / 2);
       }
-      const WorklistSweepStats stats =
-          m.sweep_and_residual_worklist(cur, nxt, f, scratch, state, wl, pool);
+      const SweepStats stats =
+          m.sweep_and_residual_worklist(cur, nxt, f, scratch, state, pool);
       std::swap(cur, nxt);
       expect_bitwise_equal(cur, ref_y[s], label + " sweep " + std::to_string(s));
       ASSERT_EQ(stats.l1_delta, ref_stats[s].l1_delta) << label << " sweep " << s;
@@ -250,38 +247,35 @@ void check_worklist_matches_dense(const LinkMatrix& m, std::size_t sweeps,
 
 TEST(RankSweep, WorklistMatchesDenseSyntheticWeb) {
   const auto g = graph::generate_synthetic_web(graph::google2002_config(10000, 17));
-  check_worklist_matches_dense(LinkMatrix::from_graph(g, kAlpha), 20, 3);
+  check_worklist_matches_dense(LinkMatrix::from_graph(g, kAlpha), 20);
 }
 
 TEST(RankSweep, WorklistMatchesDenseDanglingHeavy) {
   // Most sources are dangling, so the frontier collapses within a few
-  // sweeps; full_interval = 0 keeps it collapsed (pure sparse path).
+  // sweeps and stays collapsed (pure sparse path).
   check_worklist_matches_dense(LinkMatrix::from_graph(dangling_heavy(500), kAlpha),
-                               80, 0);
+                               80);
 }
 
 TEST(RankSweep, WorklistMatchesDenseChain) {
-  check_worklist_matches_dense(LinkMatrix::from_graph(test::chain(97), kAlpha),
-                               150, 0);
+  check_worklist_matches_dense(LinkMatrix::from_graph(test::chain(97), kAlpha), 150);
 }
 
 TEST(RankSweep, WorklistMatchesDenseStar) {
-  check_worklist_matches_dense(LinkMatrix::from_graph(test::star(50), kAlpha), 30, 0);
+  check_worklist_matches_dense(LinkMatrix::from_graph(test::star(50), kAlpha), 30);
 }
 
 TEST(RankSweep, WorklistMatchesDenseSubset) {
   const auto g = graph::generate_synthetic_web(graph::google2002_config(4000, 5));
   std::vector<graph::PageId> members;
   for (graph::PageId p = 0; p < g.num_pages(); p += 3) members.push_back(p);
-  check_worklist_matches_dense(LinkMatrix::from_subset(g, members, kAlpha), 30, 5);
+  check_worklist_matches_dense(LinkMatrix::from_subset(g, members, kAlpha), 30);
 }
 
 TEST(RankSweep, WorklistSinglePageFrontier) {
   const auto m = LinkMatrix::from_graph(dangling_heavy(400), kAlpha);
   const std::size_t n = m.dimension();
   std::vector<double> forcing(n, 0.15);
-  WorklistOptions wl;
-  wl.full_interval = 0;  // no periodic dense sweep: frontier death is observable
   WorklistState state;
   SweepScratch scratch;
   util::ThreadPool pool(2);
@@ -292,7 +286,7 @@ TEST(RankSweep, WorklistSinglePageFrontier) {
   std::size_t s = 0;
   for (; s < 2000; ++s) {
     const auto stats =
-        m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, wl, pool);
+        m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
     std::swap(cur, nxt);
     if (stats.l1_delta == 0.0) break;
   }
@@ -300,7 +294,7 @@ TEST(RankSweep, WorklistSinglePageFrontier) {
 
   // At the fixed point a sweep computes no rows at all.
   const std::uint64_t settled = state.rows_computed;
-  (void)m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, wl, pool);
+  (void)m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
   std::swap(cur, nxt);
   EXPECT_EQ(state.rows_computed, settled);
 
@@ -308,7 +302,7 @@ TEST(RankSweep, WorklistSinglePageFrontier) {
   forcing[n - 1] += 0.5;
   state.mark_forcing_dirty(n - 1);
   const auto stats =
-      m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, wl, pool);
+      m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
   std::swap(cur, nxt);
   EXPECT_EQ(state.rows_computed, settled + 1);
   EXPECT_NEAR(stats.l1_delta, 0.5, 1e-12);
@@ -320,7 +314,7 @@ TEST(RankSweep, WorklistSinglePageFrontier) {
   SweepScratch dscratch;
   for (int k = 0; k < 10; ++k) {
     const auto ws =
-        m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, wl, pool);
+        m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
     const auto ds = m.sweep_and_residual(dcur, dnxt, forcing, dscratch, pool);
     std::swap(cur, nxt);
     std::swap(dcur, dnxt);
@@ -338,8 +332,6 @@ TEST(RankSweep, WorklistFrontierRegrowsAfterGraphUpdate) {
   const auto m2 = LinkMatrix::from_graph(chain_graph(60, true), kAlpha);
   const std::size_t n = m1.dimension();
   const std::vector<double> forcing(n, 0.15);
-  WorklistOptions wl;
-  wl.full_interval = 0;
   WorklistState state;
   SweepScratch scratch;
   util::ThreadPool pool(2);
@@ -348,7 +340,7 @@ TEST(RankSweep, WorklistFrontierRegrowsAfterGraphUpdate) {
   std::size_t s = 0;
   for (; s < 2000; ++s) {
     const auto stats =
-        m1.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, wl, pool);
+        m1.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
     std::swap(cur, nxt);
     if (stats.l1_delta == 0.0) break;
   }
@@ -358,14 +350,13 @@ TEST(RankSweep, WorklistFrontierRegrowsAfterGraphUpdate) {
   std::vector<double> dcur = cur;
   std::vector<double> dnxt(n, 0.0);
   SweepScratch dscratch;
-  bool first = true;
+  const std::uint64_t dense_before = state.dense_sweeps;
   for (int k = 0; k < 40; ++k) {
     const auto ws =
-        m2.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, wl, pool);
+        m2.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool);
     const auto ds = m2.sweep_and_residual(dcur, dnxt, forcing, dscratch, pool);
-    if (first) {
-      EXPECT_TRUE(ws.dense);  // reset forces a dense re-prime
-      first = false;
+    if (k == 0) {
+      EXPECT_EQ(state.dense_sweeps, dense_before + 1);  // reset forces a dense re-prime
     }
     std::swap(cur, nxt);
     std::swap(dcur, dnxt);
@@ -390,60 +381,28 @@ TEST(RankSweep, WorklistSolveMatchesDenseSolve) {
   const SolveResult dense = solve_open_system(m, forcing, {}, opts, ref_pool);
   ASSERT_TRUE(dense.converged);
 
-  WorklistOptions wl;  // exact mode
+  // solve_open_system's loop on a ping-pong pair, sweeping with the worklist
+  // kernel: the iterate sequence, and so the solve, must match bit for bit.
   for (const std::size_t threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
     WorklistState state;
-    const SolveResult got =
-        solve_open_system_worklist(m, forcing, {}, opts, wl, state, pool);
-    EXPECT_TRUE(got.converged);
-    EXPECT_EQ(got.iterations, dense.iterations) << threads;
-    EXPECT_EQ(got.final_delta, dense.final_delta) << threads;
-    expect_bitwise_equal(got.ranks, dense.ranks,
+    SweepScratch scratch;
+    std::vector<double> cur(n, 0.0);
+    std::vector<double> nxt(n, 0.0);
+    std::size_t iterations = 0;
+    double delta = 0.0;
+    while (iterations < opts.max_iterations) {
+      delta = m.sweep_and_residual_worklist(cur, nxt, forcing, scratch, state, pool)
+                  .l1_delta;
+      std::swap(cur, nxt);
+      ++iterations;
+      if (delta <= opts.epsilon) break;
+    }
+    EXPECT_LE(delta, opts.epsilon) << threads;
+    EXPECT_EQ(iterations, dense.iterations) << threads;
+    EXPECT_EQ(delta, dense.final_delta) << threads;
+    expect_bitwise_equal(cur, dense.ranks,
                          "worklist solve, pool " + std::to_string(threads));
-  }
-}
-
-TEST(RankSweep, WorklistThresholdedDeterministicAndConfirmed) {
-  const auto g = graph::generate_synthetic_web(graph::google2002_config(4000, 5));
-  const auto m = LinkMatrix::from_graph(g, kAlpha);
-  const std::size_t n = m.dimension();
-  const std::vector<double> forcing(n, 0.15);
-  SolveOptions opts;
-  opts.alpha = kAlpha;
-  opts.epsilon = 1e-9;
-
-  util::ThreadPool ref_pool(1);
-  const SolveResult dense = solve_open_system(m, forcing, {}, opts, ref_pool);
-  ASSERT_TRUE(dense.converged);
-
-  WorklistOptions wl;
-  wl.epsilon = 1e-8;  // thresholded: sparse residuals under-report
-  wl.full_interval = 8;
-  SolveResult first;
-  bool have_first = false;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    util::ThreadPool pool(threads);
-    WorklistState state;
-    const SolveResult got =
-        solve_open_system_worklist(m, forcing, {}, opts, wl, state, pool);
-    // Convergence was accepted at a dense sweep, so final_delta is an exact
-    // residual and Theorem 3.3 bounds the distance to the fixed point.
-    EXPECT_TRUE(got.converged);
-    EXPECT_LE(got.final_delta, opts.epsilon);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(got.ranks[i], dense.ranks[i], 1e-6) << "rank " << i;
-    }
-    // Thresholded mode is still bitwise-deterministic across pool sizes.
-    if (!have_first) {
-      first = got;
-      have_first = true;
-    } else {
-      EXPECT_EQ(got.iterations, first.iterations) << threads;
-      EXPECT_EQ(got.final_delta, first.final_delta) << threads;
-      expect_bitwise_equal(got.ranks, first.ranks,
-                           "thresholded pool " + std::to_string(threads));
-    }
   }
 }
 

@@ -1418,70 +1418,20 @@ std::vector<VariantResult> kernel_variants(const Options& opts,
       edges, fused_bytes));
 
   {
-    // Worklist kernel, forced dense every sweep: same row loop as
+    // Worklist kernel, forced dense every sweep by reset(): same row loop as
     // fused_sweep_residual plus frontier bookkeeping — its overhead ceiling.
-    rank::WorklistOptions wopts;
     rank::WorklistState wstate;
     rank::SweepScratch wscratch;
     results.push_back(make_result(
         "worklist_dense_full",
         time_variant(opts,
                      [&] {
-                       auto stats = m.sweep_and_residual_worklist(
-                           x, y, forcing, wscratch, wstate, wopts, pool,
-                           /*force_dense=*/true);
+                       wstate.reset();
+                       auto stats = m.sweep_and_residual_worklist(x, y, forcing, wscratch,
+                                                                  wstate, pool);
                        if (stats.l1_delta < 0.0) std::abort();
                      }),
         edges, fused_bytes));
-  }
-
-  {
-    // Worklist kernel at a contracted steady-state frontier: converge to
-    // the fixed point first, then keep a small recurring perturbation live
-    // (32 forcing entries toggled ±1e-6 per sweep) so every timed sweep
-    // pays realistic frontier maintenance, not the empty-frontier fast
-    // path. The threshold localizes the wave to a few hops of the
-    // perturbed rows. Bytes use the dense accounting so bytes_per_sec
-    // stays comparable — it reads as "effective dense bandwidth".
-    rank::WorklistOptions wopts;
-    wopts.epsilon = 1e-7;
-    wopts.full_interval = 0;
-    rank::WorklistState wstate;
-    rank::SweepScratch wscratch;
-    std::vector<double> a(x), b(n);
-    std::vector<double> f(forcing);
-    for (int warm = 0; warm < 200; ++warm) {
-      auto stats = m.sweep_and_residual_worklist(a, b, f, wscratch, wstate,
-                                                 wopts, pool);
-      std::swap(a, b);
-      if (stats.l1_delta == 0.0) break;
-    }
-    const std::uint64_t warm_sweeps = wstate.sweeps;
-    const std::uint64_t warm_rows = wstate.rows_computed;
-    std::size_t tick = 0;
-    results.push_back(make_result(
-        "worklist_contracted",
-        time_variant(opts,
-                     [&] {
-                       const double delta = (tick++ & 1) ? -1e-6 : 1e-6;
-                       for (std::size_t j = 0; j < 32; ++j) {
-                         const std::size_t row = (j * 1543) % n;
-                         f[row] += delta;
-                         wstate.mark_forcing_dirty(row);
-                       }
-                       auto stats = m.sweep_and_residual_worklist(
-                           a, b, f, wscratch, wstate, wopts, pool);
-                       if (stats.l1_delta < 0.0) std::abort();
-                       std::swap(a, b);
-                     }),
-        edges, fused_bytes));
-    const std::uint64_t timed = wstate.sweeps - warm_sweeps;
-    if (timed > 0) {
-      std::cout << "  worklist_contracted frontier: "
-                << static_cast<double>(wstate.rows_computed - warm_rows) /
-                       static_cast<double>(timed)
-                << " rows recomputed per sweep (n=" << n << ")\n";
-    }
   }
   return results;
 }
